@@ -78,10 +78,6 @@ class ExecConfig:
             (Observation-4 residual-probability bound for ranges,
             running best-worst distance bound for NN).  Answers are
             identical either way; only probe counts change.
-        auto_tune: drive each :meth:`Database.run` batch through the
-            workload-aware :class:`~repro.exec.tuner.AutoTuner`, which
-            converges on method / kernel / executor / parallelism
-            choices from observed throughput.  Requires ``batched``.
         wal: durable storage mode.  :meth:`Database.save` writes an
             incremental directory archive (per-method / per-shard
             members, clean ones skipped) instead of one monolithic
@@ -165,7 +161,6 @@ class ExecConfig:
     pool_policy: str = "2q"
     pool_probation: int | None = None
     probe_bound: bool = True
-    auto_tune: bool = False
     wal: bool = False
     reclaim: bool = False
     on_fault: str = "fail"
@@ -218,11 +213,6 @@ class ExecConfig:
             )
         if self.pool_probation is not None and self.pool_probation < 0:
             raise ValueError("pool_probation must be non-negative")
-        if self.auto_tune and not self.batched:
-            raise ValueError(
-                "auto_tune=True requires batched=True (the tuner observes "
-                "batch throughput)"
-            )
         if self.on_fault not in _ON_FAULT_NAMES:
             raise ValueError(
                 f"unknown on_fault {self.on_fault!r}; "
@@ -279,8 +269,6 @@ class ExecConfig:
         bound = repro_env.env_value("REPRO_PROBE_BOUND")
         if bound is not None and bound.strip():
             fields["probe_bound"] = repro_env.env_flag("REPRO_PROBE_BOUND")
-        if repro_env.env_flag("REPRO_AUTO_TUNE"):
-            fields["auto_tune"] = True
         if repro_env.env_flag("REPRO_WAL"):
             fields["wal"] = True
         if repro_env.env_flag("REPRO_RECLAIM"):

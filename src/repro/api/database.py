@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -53,7 +52,6 @@ from repro.exec.planner import (
 from repro.exec.refine import RefinementEngine
 from repro.exec.resilience import BatchSupervisor
 from repro.exec.shard import ShardedAccessMethod
-from repro.exec.tuner import AutoTuner, TunerDecision
 from repro.storage.bufferpool import BufferPool
 from repro.storage.wal import WriteAheadLog
 from repro.uncertainty.objects import UncertainObject
@@ -69,8 +67,8 @@ def _parse_method_name(name: str) -> tuple[str, str | None]:
 
     The optional ``@mono``/``@sharded`` suffix pins the layout of one
     method regardless of ``config.shards`` — how a database registers
-    both variants of the same structure side by side, so the planner and
-    the auto-tuner can arbitrate between them at query time.
+    both variants of the same structure side by side, so the planner can
+    arbitrate between them at query time.
     """
     base, sep, variant = name.partition("@")
     if not sep:
@@ -158,31 +156,9 @@ def _structures(method) -> list:
     return [method]
 
 
-def _kernel_built(method) -> bool:
-    """Whether the method carries a columnar sidecar (toggleable or not)."""
-    return any(getattr(s, "kernel", None) is not None for s in _structures(method))
-
-
-def _kernel_enabled(method) -> bool:
+def _has_kernel(method) -> bool:
     """Whether the (possibly sharded) method classifies via the kernel."""
-    return any(
-        getattr(s, "active_kernel", getattr(s, "kernel", None)) is not None
-        for s in _structures(method)
-    )
-
-
-def _set_kernel(method, enabled: bool) -> bool:
-    """Flip query-time kernel use for every structure behind ``method``.
-
-    The sidecar itself stays built and fed either way (update paths
-    never consult the flag), so the toggle is free and instant.  Returns
-    the *effective* state — asking for the kernel on a structure built
-    without one stays off.
-    """
-    for structure in _structures(method):
-        if hasattr(structure, "use_kernel"):
-            structure.use_kernel = bool(enabled)
-    return _kernel_enabled(method)
+    return any(getattr(s, "kernel", None) is not None for s in _structures(method))
 
 
 def _live_records(method):
@@ -239,8 +215,6 @@ class Explanation:
     serial_fallback: bool = False
     pool_policy: str = "2q"
     pool_capacity: int = 0
-    # The auto-tuner's full report (None when auto_tune is off).
-    tuner: dict | None = None
     # Resilience posture: how a fault mid-batch would be handled.  With
     # on_fault="degrade", degradation_ladder lists the backend fallback
     # chain the batch would descend (most capable first, exact serial
@@ -285,15 +259,6 @@ class Explanation:
             lines.append(
                 f"  buffer pool: {self.pool_policy}, "
                 f"{self.pool_capacity} frames"
-            )
-        if self.tuner is not None:
-            state = "converged" if self.tuner.get("converged") else "exploring"
-            knobs = ", ".join(
-                f"{k}={v!r}" for k, v in self.tuner.get("incumbent", {}).items()
-            )
-            lines.append(
-                f"  auto-tuner: {state} after "
-                f"{self.tuner.get('observations', 0)} batches ({knobs})"
             )
         if self.on_fault != "fail" or self.checksum:
             ladder = " -> ".join(self.degradation_ladder) or "none"
@@ -405,20 +370,14 @@ class Database:
         # Set by open() after WAL replay: {"wal_entries": n}.
         self.last_recovery: dict | None = None
         self.planner = planner if planner is not None else self._build_planner()
-        # Keyed by (method name, executor backend, parallelism, kernel
-        # on/off): per-call overrides and the tuner's decisions select
-        # among cached executors instead of rebuilding them per batch,
-        # and the kernel state in the key keeps forked process pools
-        # from serving a batch under a kernel setting they never saw.
-        # The lock makes the cache (and close()) safe against a run()
+        # Keyed by (method name, executor backend, parallelism): the
+        # degradation ladder selects among cached executors instead of
+        # rebuilding them per batch.  The lock makes the cache (and close()) safe against a run()
         # in flight on another thread — the query service's shutdown
         # path closes the database while batches may still be draining.
         self._exec_lock = threading.RLock()
         self._batch_executors: dict[tuple, BatchExecutor] = {}
         self._query_executors: dict[str, QueryExecutor] = {}
-        self.tuner: AutoTuner | None = (
-            self._build_tuner() if config.auto_tune else None
-        )
         # Resilience wiring is applied here — the one funnel every
         # construction path (create / from_methods / open) goes through.
         for method in self._methods.values():
@@ -603,41 +562,6 @@ class Database:
         for method in self._methods.values():
             if isinstance(method, ShardedAccessMethod):
                 method.refresh_router()
-
-    # ------------------------------------------------------------------
-    # auto-tuner wiring
-    # ------------------------------------------------------------------
-    def _build_tuner(self) -> AutoTuner:
-        """The knob space the tuner searches, derived from what exists.
-
-        Knobs with only one viable value never register (AutoTuner drops
-        them): a single-method database has no method knob, a database
-        built without sidecars has no kernel knob, and a platform
-        without ``fork`` offers no process backend.
-        """
-        import multiprocessing
-
-        knobs: dict[str, list] = {}
-        baseline: dict[str, object] = {}
-        if len(self._methods) > 1:
-            knobs["method"] = list(self._methods)
-            baseline["method"] = next(iter(self._methods))
-        if any(_kernel_built(m) for m in self._methods.values()):
-            knobs["filter_kernel"] = [True, False]
-            baseline["filter_kernel"] = _kernel_enabled(
-                next(iter(self._methods.values()))
-            )
-        executors = ["thread"]
-        if "fork" in multiprocessing.get_all_start_methods():
-            executors.append("process")
-        knobs["executor"] = executors
-        baseline["executor"] = self.config.executor
-        knobs["parallelism"] = sorted({1, 2, self.config.parallelism})
-        baseline["parallelism"] = self.config.parallelism
-        # Two trials per value before convergence: qps feedback is
-        # wall-clock, so a single sample can rank statistically-equal
-        # values (e.g. mono vs sharded on a small workload) arbitrarily.
-        return AutoTuner(knobs, baseline=baseline, min_trials=2)
 
     # ------------------------------------------------------------------
     # introspection
@@ -831,7 +755,6 @@ class Database:
             traffic = old.update_traffic
             records = sorted(_live_records(old), key=lambda r: r.oid)
             objects = [old.data_file.peek(r.address) for r in records]
-            kernel_on = _kernel_enabled(old)
             rebuilt = ShardedAccessMethod.build(
                 objects,
                 shards=old.shard_count,
@@ -846,9 +769,8 @@ class Database:
                 pool_probation=self.config.pool_probation,
                 prune=old.prune,
                 probe_bound=old.probe_bound,
-                filter_kernel="on" if _kernel_built(old) else "off",
+                filter_kernel="on" if _has_kernel(old) else "off",
             )
-            _set_kernel(rebuilt, kernel_on)
             rebuilt.data_file.reclaim = self.config.reclaim
             self._apply_integrity(rebuilt)
             self._methods[name] = rebuilt
@@ -930,7 +852,7 @@ class Database:
         parallelism = (
             self.config.parallelism if parallelism is None else parallelism
         )
-        key = (name, executor, parallelism, _kernel_enabled(self._methods[name]))
+        key = (name, executor, parallelism)
         with self._exec_lock:
             if key not in self._batch_executors:
                 if executor == "process":
@@ -959,13 +881,7 @@ class Database:
                     )
             return self._batch_executors[key]
 
-    def _degradation_ladder(
-        self,
-        name: str,
-        *,
-        executor: str | None = None,
-        parallelism: int | None = None,
-    ) -> list:
+    def _degradation_ladder(self, name: str) -> list:
         """The backend fallback chain for one method's batches.
 
         Most capable configured backend first, the exact serial path
@@ -974,23 +890,20 @@ class Database:
         ``serial`` when that is all that was configured.  Factories are
         lazy, so a fault-free run never builds the fallback executors.
         """
-        resolved_exec = self.config.executor if executor is None else executor
-        resolved_par = (
-            self.config.parallelism if parallelism is None else parallelism
-        )
+        parallelism = self.config.parallelism
         ladder: list = []
-        if resolved_exec == "process":
+        if self.config.executor == "process":
             ladder.append((
                 "process",
                 lambda: self._batch_executor(
-                    name, executor="process", parallelism=resolved_par
+                    name, executor="process", parallelism=parallelism
                 ),
             ))
-        if resolved_par > 1:
+        if parallelism > 1:
             ladder.append((
                 "thread",
                 lambda: self._batch_executor(
-                    name, executor="thread", parallelism=resolved_par
+                    name, executor="thread", parallelism=parallelism
                 ),
             ))
         ladder.append((
@@ -999,23 +912,12 @@ class Database:
         ))
         return ladder
 
-    def _run_range_batch(
-        self,
-        name: str,
-        queries,
-        *,
-        executor: str | None = None,
-        parallelism: int | None = None,
-    ):
+    def _run_range_batch(self, name: str, queries):
         """One method's batch, through the ladder when degradation is on."""
         if self.config.on_fault != "degrade":
-            return self._batch_executor(
-                name, executor=executor, parallelism=parallelism
-            ).run(queries)
+            return self._batch_executor(name).run(queries)
         supervisor = BatchSupervisor(
-            self._degradation_ladder(
-                name, executor=executor, parallelism=parallelism
-            ),
+            self._degradation_ladder(name),
             data_file=getattr(self._methods[name], "data_file", None),
         )
         return supervisor.run(queries)
@@ -1113,9 +1015,6 @@ class Database:
         specs: Sequence[QuerySpec],
         *,
         method: str | None = None,
-        parallelism: int | None = None,
-        executor: str | None = None,
-        filter_kernel: bool | None = None,
     ) -> RunResult:
         """Answer a batch of specs (submission order preserved).
 
@@ -1127,15 +1026,6 @@ class Database:
         With several registered methods and no ``method`` pin, the
         planner prices every range spec and routes it to the cheapest
         structure.
-
-        ``parallelism``/``executor``/``filter_kernel`` override the
-        config for this batch only (answers never change — these are
-        pure cost knobs); the kernel toggle is sticky on the structures
-        until the next override.  Under ``config.auto_tune`` a batch
-        with no explicit overrides is driven by the
-        :class:`~repro.exec.tuner.AutoTuner` instead: it proposes the
-        knob assignment, the batch executes under it, and the measured
-        throughput feeds back into the tuner's estimates.
         """
         specs = list(specs)
         for spec in specs:
@@ -1143,47 +1033,8 @@ class Database:
                 raise TypeError(
                     f"specs must be RangeSpec or NearestSpec, got {type(spec).__name__}"
                 )
-        if executor is not None and executor not in ("thread", "process"):
-            raise ValueError(
-                f"unknown executor {executor!r}; pick 'thread' or 'process'"
-            )
-        if parallelism is not None and parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
-        if not self.config.batched and (
-            parallelism not in (None, 1) or executor == "process"
-        ):
-            raise ValueError(
-                "per-batch parallelism/executor overrides need batched=True"
-            )
 
-        # Tuner-driven batches: only when the caller pinned nothing (an
-        # explicit override is the caller measuring, not the tuner).
-        range_pin = method
-        proposal: TunerDecision | None = None
-        has_ranges = any(isinstance(s, RangeSpec) for s in specs)
-        if (
-            self.tuner is not None
-            and has_ranges
-            and method is None
-            and parallelism is None
-            and executor is None
-            and filter_kernel is None
-        ):
-            proposal = self.tuner.propose()
-            range_pin = proposal.assignment.get("method")
-            parallelism = proposal.assignment.get("parallelism")
-            executor = proposal.assignment.get("executor")
-            filter_kernel = proposal.assignment.get("filter_kernel")
-        if filter_kernel is not None:
-            for m in self._methods.values():
-                _set_kernel(m, filter_kernel)
-
-        decisions = [
-            self._choose(
-                spec, method if isinstance(spec, NearestSpec) else range_pin
-            )
-            for spec in specs
-        ]
+        decisions = [self._choose(spec, method) for spec in specs]
         choices = [choice for choice, _ in decisions]
         out = RunResult()
         slots: list[Result | None] = [None] * len(specs)
@@ -1198,20 +1049,10 @@ class Database:
             else:
                 slots[i] = self._run_nearest(spec, choices[i])
 
-        range_count = 0
-        executors_before = len(self._batch_executors)
-        # Throughput windows run on the tuner's clock so tests can make
-        # qps observations deterministic (a fake clock replaces
-        # wall-time noise); without a tuner nothing observes the window.
-        clock = self.tuner.clock if self.tuner is not None else time.perf_counter
-        range_start = clock()
         for name, indices in grouped.items():
             queries = [specs[i].to_query() for i in indices]
-            range_count += len(queries)
             if self.config.batched:
-                batch = self._run_range_batch(
-                    name, queries, executor=executor, parallelism=parallelism
-                )
+                batch = self._run_range_batch(name, queries)
                 answers = batch.answers
                 if name in out.batches:  # pragma: no cover - defensive
                     raise RuntimeError(f"duplicate batch for method {name!r}")
@@ -1226,22 +1067,6 @@ class Database:
                     object_ids=answer.object_ids,
                     stats=answer.stats,
                 )
-        if proposal is not None and range_count:
-            # A batch that had to build its executor ran cold (fresh
-            # thread/process pool, empty P_app memo) — feeding that wall
-            # time to the tuner would systematically punish explored
-            # alternatives, whose executor keys are new by construction,
-            # against always-warm incumbents.  Skip the observation; the
-            # tuner re-proposes the still-undersampled value and the next
-            # batch measures it warm.
-            warmed = len(self._batch_executors) == executors_before
-            # A degraded batch executed on some fallback backend, not the
-            # proposed assignment — crediting its throughput would teach
-            # the tuner about a configuration that never ran.
-            degraded = any(b.degraded for b in out.batches.values())
-            if warmed and not degraded:
-                range_wall = clock() - range_start
-                self.tuner.observe(proposal, range_count / max(range_wall, 1e-9))
 
         out.results = [slot for slot in slots if slot is not None]
         for result in out.results:
@@ -1339,9 +1164,7 @@ class Database:
         ``batch_size`` is the hypothetical batch the spec would ship in:
         it drives the PR 6 serial-fallback prediction (a parallel
         executor runs small zero-latency batches serially), reported in
-        ``serial_fallback``/``serial_fallback_threshold``.  With
-        ``auto_tune`` on, ``tuner`` carries the tuner's live report —
-        every knob's throughput estimate and the chosen incumbents.
+        ``serial_fallback``/``serial_fallback_threshold``.
         """
         if not isinstance(spec, RangeSpec):
             raise TypeError(
@@ -1390,7 +1213,7 @@ class Database:
             shards=shards,
             shard_probes=probes,
             shards_pruned=pruned,
-            filter_kernel=_kernel_enabled(chosen),
+            filter_kernel=_has_kernel(chosen),
             batched=self.config.batched,
             parallelism=self.config.parallelism,
             data_records_per_page=self.planner.data_records_per_page,
@@ -1402,18 +1225,12 @@ class Database:
             serial_fallback=fallback,
             pool_policy=self.config.pool_policy,
             pool_capacity=self.config.pool_capacity,
-            tuner=self.tuner.report() if self.tuner is not None else None,
             on_fault=self.config.on_fault,
             worker_timeout=self.config.worker_timeout,
             max_retries=self.config.max_retries,
             checksum=self.config.checksum,
             degradation_ladder=(
-                tuple(
-                    level
-                    for level, _ in self._degradation_ladder(
-                        choice, executor=self.config.executor
-                    )
-                )
+                tuple(level for level, _ in self._degradation_ladder(choice))
                 if self.config.on_fault == "degrade"
                 else ()
             ),
@@ -1432,28 +1249,22 @@ class Database:
                     name: np.asarray(_method_catalog(m).values).tolist()
                     for name, m in self._methods.items()
                 },
-                # Learnt adaptive state rides along so a reopened
-                # database plans (and tunes) from where this one left
-                # off instead of re-learning from scratch.
+                # Learnt planner state rides along so a reopened
+                # database plans from where this one left off instead of
+                # re-learning from scratch.
                 "planner": self.planner.state_dict(),
-                "tuner": (
-                    self.tuner.state_dict() if self.tuner is not None else None
-                ),
             },
             sort_keys=True,
         )
 
     @staticmethod
     def _restore_learned(db: "Database", meta: dict | None) -> None:
-        """Reload archived planner/tuner state into a reopened database."""
+        """Reload archived planner state into a reopened database."""
         if not meta:
             return
         planner_state = meta.get("planner")
         if planner_state:
             db.planner.load_state(planner_state)
-        tuner_state = meta.get("tuner")
-        if tuner_state and db.tuner is not None:
-            db.tuner.load_state(tuner_state)
 
     def save(self, path):
         """Persist the database.

@@ -102,7 +102,7 @@ def _walk_candidates(
     candidates: list[tuple[float, float, UTreeLeafRecord]] = []
     heap: list[tuple[float, int, Node]] = [(0.0, 0, tree.engine.root)]
     counter = 1
-    kernel = getattr(tree, "active_kernel", None)
+    kernel = getattr(tree, "kernel", None)
 
     while heap:
         mindist, __, node = heapq.heappop(heap)

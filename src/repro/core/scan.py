@@ -65,14 +65,6 @@ class SequentialScan:
             if resolve_filter_kernel(filter_kernel)
             else None
         )
-        # Runtime toggle (see UTree.use_kernel): inserts always feed the
-        # sidecar; queries consult it only while use_kernel holds.
-        self.use_kernel = True
-
-    @property
-    def active_kernel(self):
-        """The filter kernel queries should use right now (None = scalar)."""
-        return self.kernel if self.use_kernel else None
 
     def __len__(self) -> int:
         return len(self._records)
@@ -134,7 +126,7 @@ class SequentialScan:
                     self.io, self.pool, self._summary_file_id, page_id,
                     sequential=True,
                 )
-        kernel = self.active_kernel
+        kernel = self.kernel
         if kernel is not None:
             # One stacked Rules-1-5 call over the whole summary file —
             # verdicts and ordering match the scalar loop bit for bit.

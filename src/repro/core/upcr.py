@@ -98,9 +98,6 @@ class UPCRTree:
             if resolve_filter_kernel(filter_kernel)
             else None
         )
-        # Runtime toggle (see UTree.use_kernel): inserts always feed the
-        # sidecar; queries consult it only while use_kernel holds.
-        self.use_kernel = True
 
     @classmethod
     def bulk_load(
@@ -136,11 +133,6 @@ class UPCRTree:
             tree._profiles[obj.oid] = profile
         engine_bulk_load(tree.engine, items, fill=fill)
         return tree
-
-    @property
-    def active_kernel(self):
-        """The filter kernel queries should use right now (None = scalar)."""
-        return self.kernel if self.use_kernel else None
 
     def __len__(self) -> int:
         return len(self.engine)
@@ -229,7 +221,7 @@ class UPCRTree:
                 pq,
             )
 
-        kernel = self.active_kernel
+        kernel = self.kernel
         if kernel is not None:
             records: list[UPCRLeafRecord] = []
             result.node_accesses = self.engine.traverse(

@@ -138,10 +138,6 @@ class UTree:
             if resolve_filter_kernel(filter_kernel)
             else None
         )
-        # Runtime toggle (the auto-tuner flips it between batches): the
-        # kernel sidecar is always *fed* on insert so toggling is safe,
-        # but queries consult it only while use_kernel holds.
-        self.use_kernel = True
 
     # ------------------------------------------------------------------
     # construction
@@ -196,11 +192,6 @@ class UTree:
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
-    @property
-    def active_kernel(self):
-        """The filter kernel queries should use right now (None = scalar)."""
-        return self.kernel if self.use_kernel else None
-
     def __len__(self) -> int:
         return len(self.engine)
 
@@ -298,7 +289,7 @@ class UTree:
                 pq,
             )
 
-        kernel = self.active_kernel
+        kernel = self.kernel
         if kernel is not None:
             records: list[UTreeLeafRecord] = []
             result.node_accesses = self.engine.traverse(

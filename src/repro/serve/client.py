@@ -109,25 +109,6 @@ class ServeClient:
             raise ServeError(code, message)
         return reply
 
-    @staticmethod
-    def _overlay(
-        method: str | None,
-        parallelism: int | None,
-        executor: str | None,
-        filter_kernel: bool | None,
-    ) -> dict | None:
-        overlay = {
-            key: value
-            for key, value in (
-                ("method", method),
-                ("parallelism", parallelism),
-                ("executor", executor),
-                ("filter_kernel", filter_kernel),
-            )
-            if value is not None
-        }
-        return overlay or None
-
     # ------------------------------------------------------------------
     # the Database verbs, over the wire
     # ------------------------------------------------------------------
@@ -139,9 +120,6 @@ class ServeClient:
         specs: list[QuerySpec],
         *,
         method: str | None = None,
-        parallelism: int | None = None,
-        executor: str | None = None,
-        filter_kernel: bool | None = None,
         probs: bool = False,
     ) -> ServedRun:
         """Answer a batch of specs (the server may co-batch other clients).
@@ -151,9 +129,8 @@ class ServeClient:
         same snapshot that produced the answer.
         """
         body: dict = {"specs": [spec_doc(s) for s in specs]}
-        overlay = self._overlay(method, parallelism, executor, filter_kernel)
-        if overlay:
-            body["overlay"] = overlay
+        if method is not None:
+            body["overlay"] = {"method": method}
         if probs:
             body["probs"] = True
         reply = self._call("run", body)

@@ -38,10 +38,10 @@ from repro.serve.protocol import BadRequest
 
 __all__ = ["AdmissionQueue", "PendingRequest", "QueueFull", "ReadWriteLock"]
 
-# The per-batch overlay keys a client may set; everything else in the
-# server's base ExecConfig is fixed at serve time.  These are exactly
-# Database.run's per-call overrides — pure cost knobs, never answers.
-OVERLAY_KEYS = ("method", "parallelism", "executor", "filter_kernel")
+# The per-batch overlay keys a client may set: exactly Database.run's
+# keyword arguments.  The server's ExecConfig is fixed at serve time, so
+# no client can change how another client's batches execute.
+OVERLAY_KEYS = ("method",)
 
 
 class QueueFull(Exception):
@@ -130,24 +130,6 @@ def validate_overlay(overlay: dict | None) -> dict:
         if not isinstance(overlay["method"], str):
             raise BadRequest("overlay.method must be a string")
         out["method"] = overlay["method"]
-    if "parallelism" in overlay:
-        try:
-            out["parallelism"] = int(overlay["parallelism"])
-        except (TypeError, ValueError) as exc:
-            raise BadRequest(f"overlay.parallelism must be an int: {exc}") from exc
-        if out["parallelism"] < 1:
-            raise BadRequest("overlay.parallelism must be at least 1")
-    if "executor" in overlay:
-        if overlay["executor"] not in ("thread", "process"):
-            raise BadRequest(
-                f"overlay.executor must be 'thread' or 'process', "
-                f"got {overlay['executor']!r}"
-            )
-        out["executor"] = overlay["executor"]
-    if "filter_kernel" in overlay:
-        if not isinstance(overlay["filter_kernel"], bool):
-            raise BadRequest("overlay.filter_kernel must be a boolean")
-        out["filter_kernel"] = overlay["filter_kernel"]
     return out
 
 
@@ -177,7 +159,8 @@ class AdmissionQueue:
     Args:
         db: the served :class:`~repro.api.Database`.
         lock: the server's :class:`ReadWriteLock` (read side here).
-        max_inflight: pending-request bound; beyond it :meth:`submit`
+        max_inflight: bound on admitted requests not yet answered —
+            queued or held in a forming batch; beyond it :meth:`submit`
             raises :class:`QueueFull`.
         batch_window_ms: how long the dispatcher holds the *first*
             request of a batch open for companions.  ``0`` still
@@ -202,7 +185,13 @@ class AdmissionQueue:
         self._lock = lock
         self._window = batch_window_ms / 1000.0
         self._clock = clock
-        self._pending: _queue.Queue = _queue.Queue(maxsize=max_inflight)
+        self._max_inflight = max_inflight
+        # The admission bound counts a request from submit() until its
+        # answer is ready.  A queue maxsize alone would not: the
+        # dispatcher drains the queue while it holds a batch window
+        # open, so the queue could sit empty with the bound exceeded.
+        self._slots = threading.BoundedSemaphore(max_inflight)
+        self._pending: _queue.Queue = _queue.Queue()
         self._closed = False
         self._stop_after_batch = False
         self._stats_lock = threading.Lock()
@@ -238,15 +227,14 @@ class AdmissionQueue:
             overlay=validate_overlay(overlay),
             want_probs=want_probs,
         )
-        try:
-            self._pending.put_nowait(pending)
-        except _queue.Full:
+        if not self._slots.acquire(blocking=False):
             with self._stats_lock:
                 self._stats["busy_rejections"] += 1
             raise QueueFull(
                 f"admission queue is at its bound "
-                f"({self._pending.maxsize} in-flight requests)"
-            ) from None
+                f"({self._max_inflight} in-flight requests)"
+            )
+        self._pending.put(pending)
         with self._stats_lock:
             self._stats["requests"] += 1
             self._stats["specs"] += len(pending.specs)
@@ -271,7 +259,7 @@ class AdmissionQueue:
         backlog); only then does the group go to execution.
         """
         group = [first]
-        cap = self._pending.maxsize  # bounds the post-window sweep
+        cap = self._max_inflight  # bounds the post-window sweep
         deadline = self._clock() + self._window
         while True:
             remaining = deadline - self._clock()
@@ -315,7 +303,7 @@ class AdmissionQueue:
             if leftover is None:
                 continue
             leftover.error = QueueFull("server shut down before dispatch")
-            leftover.done.set()
+            self._finish(leftover)
 
     @staticmethod
     def _split_by_overlay(group: list[PendingRequest]) -> list[list[PendingRequest]]:
@@ -356,7 +344,7 @@ class AdmissionQueue:
         except BaseException as exc:  # noqa: BLE001 - routed to each client
             for pending in group:
                 pending.error = exc
-                pending.done.set()
+                self._finish(pending)
             return
         with self._stats_lock:
             self._stats["batches"] += 1
@@ -369,7 +357,12 @@ class AdmissionQueue:
                 self._stats["largest_batch_requests"], len(group)
             )
         for pending in group:
-            pending.done.set()
+            self._finish(pending)
+
+    def _finish(self, pending: PendingRequest) -> None:
+        """Hand the answer (or error) back and free the request's slot."""
+        pending.done.set()
+        self._slots.release()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -379,7 +372,5 @@ class AdmissionQueue:
         if self._closed:
             return
         self._closed = True
-        # May wait for a slot when the queue is at its bound, but the
-        # dispatcher is still consuming, so the sentinel always lands.
         self._pending.put(None)
         self._dispatcher.join(timeout)

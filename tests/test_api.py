@@ -156,6 +156,34 @@ class TestExecConfig:
 
 
 class TestEnvModule:
+    def test_config_keys_name_live_fields_read_by_from_env(self, monkeypatch):
+        """No dead knob: an env key documented as an ExecConfig field
+        must name a field that exists, and from_env must read it."""
+        import re
+
+        import repro.env as repro_env
+
+        fields = {f.name for f in dataclasses.fields(ExecConfig)}
+        config_keys = {}
+        for key, description in repro_env.KNOWN_ENV_KEYS.items():
+            match = re.search(r"ExecConfig\.(\w+)", description)
+            if match:
+                config_keys[key] = match.group(1)
+        assert config_keys, "no KNOWN_ENV_KEYS entry names an ExecConfig field"
+        for key, field_name in config_keys.items():
+            assert field_name in fields, f"{key} documents a missing field"
+
+        read: set[str] = set()
+        real_env_value = repro_env.env_value
+
+        def recording_env_value(key, default=None):
+            read.add(key)
+            return real_env_value(key, default)
+
+        monkeypatch.setattr(repro_env, "env_value", recording_env_value)
+        ExecConfig.from_env()
+        assert sorted(set(config_keys) - read) == []
+
     def test_env_value_rejects_unregistered_keys(self):
         from repro.env import env_value
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -35,6 +36,7 @@ from repro.serve.protocol import (
     PROTOCOL_VERSION,
     recv_frame,
     send_frame,
+    spec_doc,
 )
 from tests.conftest import make_mixed_objects, make_uniform_ball_object
 
@@ -126,18 +128,23 @@ class TestWireEquivalence:
             assert got.stats.node_accesses == want.stats.node_accesses
 
     def test_overlays_change_cost_never_answers(self):
-        db = _make_db("utree")
+        # Cost knobs are fixed per served Database: one server per
+        # setting, every one answering exactly like the default one.
         specs = _range_specs()
-        expected = [r.object_ids for r in db.run(specs).results]
-        with QueryServer(db) as server:
-            with ServeClient(*server.address) as client:
-                for overlay in (
-                    {"parallelism": 4},
-                    {"filter_kernel": False},
-                    {"parallelism": 2, "filter_kernel": True},
-                ):
-                    served = client.run(specs, **overlay)
-                    assert [r.object_ids for r in served.results] == expected
+        reference = _make_db("utree")
+        expected = [r.object_ids for r in reference.run(specs).results]
+        reference.close()
+        for overrides in (
+            {"parallelism": 3},
+            {"executor": "process", "parallelism": 2},
+            {"kernel": False},
+            {"kernel": True},
+        ):
+            db = _make_db("utree", **overrides)
+            with QueryServer(db) as server:
+                with ServeClient(*server.address) as client:
+                    served = client.run(specs)
+            assert [r.object_ids for r in served.results] == expected, overrides
 
     def test_explain_matches_direct(self):
         db = _make_db("utree")
@@ -359,6 +366,21 @@ class TestProtocolFaults:
                 )
             assert excinfo.value.code == "BAD_REQUEST"
             assert "mc_samples" in excinfo.value.message
+            # Cost knobs are the server's configuration, not a client's:
+            # none of them is accepted, and a rejected one changes nothing.
+            for overlay in (
+                {"parallelism": 4},
+                {"executor": "process", "parallelism": 8},
+                {"filter_kernel": False},
+            ):
+                with pytest.raises(ServeError) as excinfo:
+                    client._call(
+                        "run",
+                        {"specs": [spec_doc(_range_specs()[0])], "overlay": overlay},
+                    )
+                assert excinfo.value.code == "BAD_REQUEST"
+                assert "allowed: ['method']" in excinfo.value.message
+            assert client.explain(_range_specs()[0])["filter_kernel"] is True
             # The connection survives typed request errors.
             assert client.ping()["protocol"] == PROTOCOL_VERSION
 
@@ -379,6 +401,18 @@ class TestLifecycle:
         server = QueryServer(db).start()
         server.stop()
         server.stop()  # second stop: no-op, no error
+
+    def test_idle_stop_is_prompt_and_leaves_no_threads(self):
+        db = _make_db("utree")
+        server = QueryServer(db).start()
+        with ServeClient(*server.address) as client:
+            client.ping()
+        start = time.perf_counter()
+        server.stop()
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"stop() took {elapsed:.2f}s on an idle server"
+        alive = [t.name for t in threading.enumerate() if t.name.startswith("serve-")]
+        assert alive == []
 
     def test_stop_keep_db_open(self):
         db = _make_db("utree")
@@ -403,36 +437,40 @@ class TestLifecycle:
         cache while run() was inserting into it (RuntimeError: dict
         changed size during iteration) and could double-close executors.
         """
-        db = _make_db("utree")
         specs = _range_specs()
-        errors: list[BaseException] = []
-        stop = threading.Event()
+        config = ExecConfig(mc_samples=N_SAMPLES, seed=SEED)
+        for _round in range(3):
+            # A fresh multi-method database each round: its executor
+            # cache starts empty, so the method pins below keep building
+            # new entries while close() iterates the cache.
+            db = Database.create(_objects(), config, methods=METHODS)
+            errors: list[BaseException] = []
+            stop = threading.Event()
 
-        def runner():
-            parallelism = 1
-            while not stop.is_set():
-                try:
-                    # Vary the overlay so new executors keep being built
-                    # (each (executor, parallelism, kernel) key is a
-                    # fresh cache entry racing the close).
-                    parallelism = parallelism % 4 + 1
-                    db.run(specs[:1], parallelism=parallelism)
-                except BaseException as exc:  # noqa: BLE001
-                    errors.append(exc)
-                    return
+            def runner(offset, db=db, errors=errors, stop=stop):
+                turn = offset
+                while not stop.is_set():
+                    try:
+                        turn += 1
+                        db.run(specs[:1], method=METHODS[turn % len(METHODS)])
+                    except BaseException as exc:  # noqa: BLE001
+                        errors.append(exc)
+                        return
 
-        threads = [threading.Thread(target=runner) for _ in range(3)]
-        for t in threads:
-            t.start()
-        for _ in range(10):
+            threads = [
+                threading.Thread(target=runner, args=(i,)) for i in range(3)
+            ]
+            for t in threads:
+                t.start()
+            for _ in range(10):
+                db.close()
+            stop.set()
+            for t in threads:
+                t.join()
+            assert errors == []
+            expected = [r.object_ids for r in db.run(specs).results]
             db.close()
-        stop.set()
-        for t in threads:
-            t.join()
-        assert errors == []
-        expected = [r.object_ids for r in db.run(specs).results]
-        db.close()
-        assert [r.object_ids for r in db.run(specs).results] == expected
+            assert [r.object_ids for r in db.run(specs).results] == expected
 
     def test_stats_and_ping_surface(self):
         db = _make_db("utree")
