@@ -10,7 +10,7 @@ batch (simulated per-page latency, the regime the backend exists for):
   holds even on a single-core runner because the latency is simulated
   (``time.sleep`` releases the GIL and the OS scheduler interleaves the
   workers' sleep windows);
-* answers stay bit-identical to the serial thread executor at every
+* answers stay bit-identical to the serial executor at every
   worker count (the exactness matrix in ``tests/test_multicore.py``
   pins the counters too; re-checked here on the benchmark workload).
 

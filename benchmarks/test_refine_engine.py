@@ -146,48 +146,3 @@ class TestEngineAcceptance:
         benchmark.extra_info["sample_cache_hit_rate"] = round(
             engine.cache.hit_rate, 4
         )
-
-
-class TestParallelBatchOverlap:
-    """Thread-pool phase overlap on a tree workload with simulated latency."""
-
-    @pytest.fixture(scope="class")
-    def tree(self, objects):
-        tree = UTree(2, estimator=AppearanceEstimator(n_samples=N_SAMPLES, seed=SEED))
-        for obj in objects:
-            tree.insert(obj)
-        return tree
-
-    @pytest.fixture(scope="class")
-    def workload(self):
-        rng = np.random.default_rng(19)
-        return [
-            ProbRangeQuery(Rect.from_center(rng.uniform(3000, 7000, 2), 800.0), 0.5)
-            for _ in range(24)
-        ]
-
-    def test_parallel_answers_match_serial_with_latency(self, tree, workload):
-        expected = [execute_query(tree, q).object_ids for q in workload]
-        latency = 0.002
-        serial = BatchExecutor(
-            tree, parallelism=1, io_latency_seconds=latency
-        ).run(workload)
-        parallel = BatchExecutor(
-            tree, parallelism=4, io_latency_seconds=latency
-        ).run(workload)
-        assert [a.object_ids for a in serial.answers] == expected
-        assert [a.object_ids for a in parallel.answers] == expected
-        # The parallel run actually slept in its fetch thread (simulated
-        # I/O) while refinement proceeded — fetch wall-clock is real, and
-        # total wall-clock must not pay fetch + refine strictly serially.
-        assert parallel.batch.fetch_seconds >= (
-            latency * parallel.batch.data_page_fetches
-        )
-
-    def test_parallel_workload_throughput(self, benchmark, tree, workload):
-        executor = BatchExecutor(tree, parallelism=4)
-        executor.run(workload)  # warm sample cache and memo
-        result = benchmark(executor.run, workload)
-        assert result.workload.count == len(workload)
-        benchmark.extra_info["parallelism"] = 4
-        benchmark.extra_info["memo_hit_rate"] = round(result.batch.memo_hit_rate, 3)

@@ -110,7 +110,6 @@ class TestResilienceBench:
             (
                 "supervised",
                 dict(
-                    executor="process",
                     parallelism=2,
                     on_fault="degrade",
                     worker_timeout=30.0,
@@ -119,7 +118,6 @@ class TestResilienceBench:
             (
                 "full",
                 dict(
-                    executor="process",
                     parallelism=2,
                     on_fault="degrade",
                     worker_timeout=30.0,
@@ -144,7 +142,6 @@ class TestResilienceBench:
 
         # --- recovery latency ---------------------------------------
         cfg = _config(
-            executor="process",
             parallelism=2,
             on_fault="degrade",
             worker_timeout=30.0,

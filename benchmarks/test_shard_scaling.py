@@ -191,19 +191,6 @@ class TestShardScalingAcceptance:
                 indent=2,
             )
 
-    def test_parallel_sharded_batch_throughput(self, benchmark, mono_tree, sharded_tree):
-        workload = _clustered_workload()
-        expected = [
-            a.sorted_ids() for a in BatchExecutor(mono_tree).run(workload).answers
-        ]
-        executor = BatchExecutor(sharded_tree, parallelism=4)
-        executor.run(workload)  # warm sample cache and memo
-        result = benchmark(executor.run, workload)
-        assert [a.sorted_ids() for a in result.answers] == expected
-        benchmark.extra_info["shards"] = SHARDS
-        benchmark.extra_info["shard_probes"] = result.batch.shard_probes
-        benchmark.extra_info["shards_pruned"] = result.batch.shards_pruned
-
     def test_planner_routing_stops_the_sharded_utree_regression(self, objects):
         """The shards-vs-monolithic regression guard.
 

@@ -7,9 +7,10 @@ overrides.  ``ExecConfig`` is the single place they all resolve:
 * construction: ``page_size``, ``pool_capacity`` (0 = the paper's
   uncached accounting), ``mc_samples``/``seed`` (the shared Monte-Carlo
   estimator), ``filter_kernel``, ``shards``/``partitioner``/``prune``;
-* execution: ``batched``, ``parallelism``, ``memoize``,
-  ``dedupe_pages``, ``io_latency_seconds``, ``auto_observe`` (planner
-  calibration);
+* execution: ``batched``, ``parallelism`` (which also picks the batch
+  backend: 1 = in-process serial, >= 2 = forked process workers),
+  ``memoize``, ``dedupe_pages``, ``io_latency_seconds``,
+  ``auto_observe`` (planner calibration);
 * environment: :meth:`ExecConfig.from_env` reads every recognised
   ``REPRO_*`` variable exactly once (through :mod:`repro.env`) and warns
   about unrecognised ones.
@@ -35,7 +36,6 @@ from repro.uncertainty.montecarlo import AppearanceEstimator
 __all__ = ["ExecConfig"]
 
 _PARTITIONER_NAMES = ("str", "hash")
-_EXECUTOR_NAMES = ("thread", "process")
 _POOL_POLICY_NAMES = POOL_POLICIES
 _ON_FAULT_NAMES = ("fail", "degrade")
 
@@ -55,17 +55,16 @@ class ExecConfig:
             :class:`~repro.exec.batch.BatchExecutor`; ``False`` executes
             query-at-a-time through the plain executor (the paper's
             accounting).
-        parallelism: executor workers (1 = exact serial path) — threads
-            for the default backend, forked processes for
-            ``executor="process"``.
-        executor: batch backend, ``"thread"`` (default; covers the
-            serial path) or ``"process"`` (forked per-shard workers over
-            shared-memory columns — see :mod:`repro.exec.mpexec`).
-            Environment default via ``REPRO_EXECUTOR``.
+        parallelism: batch backend width.  ``1`` (the default) runs the
+            in-process serial :class:`~repro.exec.batch.BatchExecutor`;
+            ``>= 2`` runs that many forked workers over shared-memory
+            columns (:mod:`repro.exec.mpexec`; needs the fork start
+            method).  Environment default via
+            ``REPRO_SHARD_PARALLELISM``.
         memoize: share ``(address, rect)`` P_app results across queries.
         dedupe_pages: fetch each candidate data page once per batch.
-        io_latency_seconds: simulated per-page latency for the parallel
-            fetch thread.
+        io_latency_seconds: simulated per-page latency, applied inside
+            each process worker's page reader (``parallelism >= 2``).
         pool_capacity: buffer-pool frames (0 = paper-exact uncached I/O).
         pool_policy: buffer-pool replacement policy, ``"lru"``, ``"2q"``
             (default) or ``"arc"`` (adaptive, with ghost lists).
@@ -101,7 +100,7 @@ class ExecConfig:
             fault-free path.  ``"degrade"`` turns on the full resilience
             ladder: supervised fault-domain retries in the process pool,
             quarantine-and-scrub of corrupt pages, and per-batch
-            process → thread → serial backend fallback — answers stay
+            process → serial backend fallback — answers stay
             bit-identical, only throughput degrades.  Environment
             default via ``REPRO_ON_FAULT``.
         worker_timeout: per-command reply deadline (seconds) for the
@@ -153,7 +152,6 @@ class ExecConfig:
     prune: bool = True
     batched: bool = True
     parallelism: int = 1
-    executor: str = "thread"
     memoize: bool = True
     dedupe_pages: bool = True
     io_latency_seconds: float = 0.0
@@ -190,17 +188,8 @@ class ExecConfig:
         if not self.batched and self.parallelism != 1:
             raise ValueError(
                 "parallelism > 1 requires batched=True (the per-query "
-                "executor is strictly serial)"
-            )
-        if self.executor not in _EXECUTOR_NAMES:
-            raise ValueError(
-                f"unknown executor {self.executor!r}; "
-                f"pick one of {_EXECUTOR_NAMES}"
-            )
-        if self.executor == "process" and not self.batched:
-            raise ValueError(
-                "executor='process' requires batched=True (the process "
-                "pool is a batch backend)"
+                "executor is strictly serial; the process pool is a "
+                "batch backend)"
             )
         if self.io_latency_seconds < 0:
             raise ValueError("io_latency_seconds must be non-negative")
@@ -257,9 +246,6 @@ class ExecConfig:
         if kernel is not None:
             fields["filter_kernel"] = kernel
         fields["parallelism"] = repro_env.env_int("REPRO_SHARD_PARALLELISM", 1)
-        executor = repro_env.env_value("REPRO_EXECUTOR")
-        if executor is not None and executor.strip():
-            fields["executor"] = executor.strip().lower()
         policy = repro_env.env_value("REPRO_POOL_POLICY")
         if policy is not None and policy.strip():
             fields["pool_policy"] = policy.strip().lower()

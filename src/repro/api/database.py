@@ -40,7 +40,7 @@ from repro.core.nn import expected_nearest_neighbors, probabilistic_nearest_neig
 from repro.core.query import ProbRangeQuery
 from repro.core.stats import QueryStats, WorkloadStats
 from repro.exec.access import AccessMethod
-from repro.exec.batch import SERIAL_FALLBACK_SAMPLE_OPS, BatchExecutor, BatchStats
+from repro.exec.batch import BatchExecutor, BatchStats
 from repro.exec.executor import QueryExecutor
 from repro.exec.mpexec import ProcessBatchExecutor
 from repro.exec.planner import (
@@ -197,22 +197,15 @@ class Explanation:
     batched: bool
     parallelism: int
     data_records_per_page: float
-    executor: str = "thread"
+    # The batch backend parallelism selects: "serial" or "process".
+    executor: str = "serial"
     # Process backend only: the worker owning each shard (shard i on
-    # worker_layout[i]); empty for the thread backend or a monolithic
+    # worker_layout[i]); empty for the serial backend or a monolithic
     # choice, where work round-robins instead of following ownership.
     worker_layout: tuple[int, ...] = ()
     # How many probes the router's residual-probability bound dropped
     # beyond plain MBR pruning (sharded choices only).
     shards_bound_skipped: int = 0
-    # The batch size the fallback prediction was made for (explain's
-    # batch_size argument) and the PR 6 small-batch serial fallback: a
-    # parallel-configured executor runs a zero-latency batch serially
-    # when its Monte-Carlo volume (queries x samples) stays under the
-    # threshold, because thread dispatch would cost more than it buys.
-    batch_queries: int = 1
-    serial_fallback_threshold: int = SERIAL_FALLBACK_SAMPLE_OPS
-    serial_fallback: bool = False
     pool_policy: str = "2q"
     pool_capacity: int = 0
     # Resilience posture: how a fault mid-batch would be handled.  With
@@ -248,13 +241,6 @@ class Explanation:
             f"  filter kernel: {'on' if self.filter_kernel else 'off'} | {mode} | "
             f"calibration: {self.data_records_per_page:.2f} records/page"
         )
-        if self.batched and self.parallelism > 1:
-            lines.append(
-                f"  serial fallback: "
-                f"{'taken' if self.serial_fallback else 'not taken'} for "
-                f"{self.batch_queries} queries "
-                f"(threshold {self.serial_fallback_threshold} sample-ops)"
-            )
         if self.pool_capacity:
             lines.append(
                 f"  buffer pool: {self.pool_policy}, "
@@ -370,10 +356,10 @@ class Database:
         # Set by open() after WAL replay: {"wal_entries": n}.
         self.last_recovery: dict | None = None
         self.planner = planner if planner is not None else self._build_planner()
-        # Keyed by (method name, executor backend, parallelism): the
-        # degradation ladder selects among cached executors instead of
-        # rebuilding them per batch.  The lock makes the cache (and close()) safe against a run()
-        # in flight on another thread — the query service's shutdown
+        # Keyed by (method name, parallelism): the degradation ladder
+        # selects among cached executors instead of rebuilding them per
+        # batch.  The lock makes the cache (and close()) safe against a
+        # run() in flight on another thread — the query service's shutdown
         # path closes the database while batches may still be draining.
         self._exec_lock = threading.RLock()
         self._batch_executors: dict[tuple, BatchExecutor] = {}
@@ -842,20 +828,16 @@ class Database:
         return decision.choice, decision
 
     def _batch_executor(
-        self,
-        name: str,
-        *,
-        executor: str | None = None,
-        parallelism: int | None = None,
+        self, name: str, *, parallelism: int | None = None
     ) -> BatchExecutor:
-        executor = self.config.executor if executor is None else executor
+        """The cached executor for ``name``: serial at 1, processes above."""
         parallelism = (
             self.config.parallelism if parallelism is None else parallelism
         )
-        key = (name, executor, parallelism)
+        key = (name, parallelism)
         with self._exec_lock:
             if key not in self._batch_executors:
-                if executor == "process":
+                if parallelism > 1:
                     # The fault-domain retry budget engages only in degrade
                     # mode; in fail mode faults propagate on first contact
                     # (after pool teardown, so the executor stays usable).
@@ -876,40 +858,22 @@ class Database:
                         self._methods[name],
                         memoize=self.config.memoize,
                         dedupe_pages=self.config.dedupe_pages,
-                        parallelism=parallelism,
-                        io_latency_seconds=self.config.io_latency_seconds,
                     )
             return self._batch_executors[key]
 
     def _degradation_ladder(self, name: str) -> list:
         """The backend fallback chain for one method's batches.
 
-        Most capable configured backend first, the exact serial path
-        last: ``process → thread → serial`` under the process backend,
-        ``thread → serial`` for a parallel thread config, and just
-        ``serial`` when that is all that was configured.  Factories are
-        lazy, so a fault-free run never builds the fallback executors.
+        ``process → serial`` under ``parallelism >= 2``, just ``serial``
+        otherwise.  Factories are lazy, so a fault-free run never builds
+        the fallback executor.
         """
-        parallelism = self.config.parallelism
         ladder: list = []
-        if self.config.executor == "process":
-            ladder.append((
-                "process",
-                lambda: self._batch_executor(
-                    name, executor="process", parallelism=parallelism
-                ),
-            ))
-        if parallelism > 1:
-            ladder.append((
-                "thread",
-                lambda: self._batch_executor(
-                    name, executor="thread", parallelism=parallelism
-                ),
-            ))
-        ladder.append((
-            "serial",
-            lambda: self._batch_executor(name, executor="thread", parallelism=1),
-        ))
+        if self.config.parallelism > 1:
+            ladder.append(("process", lambda: self._batch_executor(name)))
+        ladder.append(
+            ("serial", lambda: self._batch_executor(name, parallelism=1))
+        )
         return ladder
 
     def _run_range_batch(self, name: str, queries):
@@ -941,10 +905,10 @@ class Database:
         Idempotent and thread-safe: concurrent calls — or a call racing a
         ``run()`` in flight on another thread (the query service's
         shutdown path) — never raise, and the database stays usable: the
-        next batch under ``executor="process"`` simply re-forks its pool.
+        next batch under ``parallelism >= 2`` simply re-forks its pool.
         An executor a concurrent ``run()`` builds *after* the snapshot
         below is released by the next ``close()`` (or the process pool's
-        finalizer backstop).  The thread backend holds no persistent
+        finalizer backstop).  The serial backend holds no persistent
         workers, so this is a no-op there.
         """
         with self._exec_lock:
@@ -1019,8 +983,8 @@ class Database:
         """Answer a batch of specs (submission order preserved).
 
         Range specs execute through the batched executor (cross-query
-        page dedup + P_app memoisation; the serial/parallel mode and all
-        reuse knobs come from the config) or, under ``batched=False``,
+        page dedup + P_app memoisation; the backend and all reuse knobs
+        come from the config) or, under ``batched=False``,
         query-at-a-time through the shared executor — the paper's exact
         accounting.  Nearest specs run the branch-and-bound NN walk.
         With several registered methods and no ``method`` pin, the
@@ -1153,7 +1117,6 @@ class Database:
         spec: QuerySpec,
         *,
         method: str | None = None,
-        batch_size: int = 1,
     ) -> Explanation:
         """The planner's cost comparison and chosen path, no execution.
 
@@ -1161,18 +1124,12 @@ class Database:
         reports the winner (or the pinned ``method``) and — for a
         sharded choice — the router's probe order, prune count and how
         many extra probes the residual-probability bound dropped.
-        ``batch_size`` is the hypothetical batch the spec would ship in:
-        it drives the PR 6 serial-fallback prediction (a parallel
-        executor runs small zero-latency batches serially), reported in
-        ``serial_fallback``/``serial_fallback_threshold``.
         """
         if not isinstance(spec, RangeSpec):
             raise TypeError(
                 "explain() prices range specs; nearest-neighbour search has "
                 "no cost model yet"
             )
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
         query = spec.to_query()
         decision = self.planner.plan(query)
         choice = decision.choice if method is None else method
@@ -1192,20 +1149,12 @@ class Database:
             probes = ()
             shards = 1
             pruned = 0
+        process = self.config.parallelism > 1
         layout: tuple[int, ...] = ()
-        if self.config.executor == "process" and shards > 1:
+        if process and shards > 1:
             layout = tuple(
                 shard_id % self.config.parallelism for shard_id in range(shards)
             )
-        # Mirror BatchExecutor._below_fallback_threshold: a zero-latency
-        # batch under the Monte-Carlo volume threshold takes the exact
-        # serial path even when parallelism is configured.
-        fallback = (
-            self.config.batched
-            and self.config.parallelism > 1
-            and self.config.io_latency_seconds == 0.0
-            and batch_size * self.config.mc_samples < SERIAL_FALLBACK_SAMPLE_OPS
-        )
         return Explanation(
             spec=spec,
             choice=choice,
@@ -1217,12 +1166,9 @@ class Database:
             batched=self.config.batched,
             parallelism=self.config.parallelism,
             data_records_per_page=self.planner.data_records_per_page,
-            executor=self.config.executor,
+            executor="process" if process else "serial",
             worker_layout=layout,
             shards_bound_skipped=bound_skipped,
-            batch_queries=batch_size,
-            serial_fallback_threshold=SERIAL_FALLBACK_SAMPLE_OPS,
-            serial_fallback=fallback,
             pool_policy=self.config.pool_policy,
             pool_capacity=self.config.pool_capacity,
             on_fault=self.config.on_fault,

@@ -134,7 +134,7 @@ class ShardStats:
 
     Produced by the sharded :class:`~repro.exec.batch.BatchExecutor`
     path, one instance per shard per batch.  ``physical_reads`` and
-    ``cache_hits`` are exact per shard even under the parallel executor,
+    ``cache_hits`` are exact per shard under either batch backend,
     because every shard owns a private ``IOCounter`` that only its own
     filter probes touch (refinement I/O lands on the shared data file
     and is accounted at batch level).

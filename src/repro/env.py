@@ -34,8 +34,7 @@ ENV_PREFIX = "REPRO_"
 # Every REPRO_* key the code base recognises, with what consumes it.
 KNOWN_ENV_KEYS: dict[str, str] = {
     "REPRO_FILTER_KERNEL": "vectorized filter kernel on/off (ExecConfig.filter_kernel)",
-    "REPRO_SHARD_PARALLELISM": "executor thread-pool width (ExecConfig.parallelism)",
-    "REPRO_EXECUTOR": "batch backend thread|process (ExecConfig.executor)",
+    "REPRO_SHARD_PARALLELISM": "batch workers: 1 = in-process serial, >= 2 = forked processes (ExecConfig.parallelism)",
     "REPRO_FULL_SCALE": "paper-scale experiment parameters (ExecConfig.full_scale)",
     "REPRO_POOL_POLICY": "buffer-pool replacement lru|2q|arc (ExecConfig.pool_policy)",
     "REPRO_POOL_PROBATION": "2Q probation FIFO frames (ExecConfig.pool_probation)",

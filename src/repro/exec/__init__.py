@@ -10,19 +10,21 @@ implementing the :class:`~repro.exec.access.AccessMethod` protocol) from
   appearance-probability evaluation (per-object clouds drawn once into a
   bounded cache, whole batches answered with stacked mask reductions,
   bit-identical to the scalar estimator);
-* :class:`~repro.exec.batch.BatchExecutor` — workload execution with
-  batch-deduplicated data-page fetches, memoised appearance
-  probabilities, and optional thread-pool overlap of its filter / fetch /
-  refine phases (``parallelism``);
+* :class:`~repro.exec.batch.BatchExecutor` — serial workload execution
+  with batch-deduplicated data-page fetches and memoised appearance
+  probabilities;
+* :class:`~repro.exec.mpexec.ProcessBatchExecutor` — the same batch
+  contract on forked per-shard workers over shared-memory columns, with
+  counters merged equal to the serial path's;
 * :class:`~repro.exec.planner.Planner` — cost-model-driven access-method
   selection per query, self-calibrating from observed workloads;
 * :class:`~repro.exec.shard.ShardedAccessMethod` — ``N`` spatially or
   hash-partitioned child structures behind one ``AccessMethod`` facade,
   with a :class:`~repro.exec.shard.ShardRouter` pruning and cost-ordering
   shard probes per query (answers stay bit-identical to the monolithic
-  path; the batch executor adds shard-group parallel filtering);
+  path; the batch executor adds per-shard accounting);
 * :class:`~repro.exec.resilience.BatchSupervisor` — graceful degradation
-  down a ``process -> thread -> serial`` backend ladder on
+  down a ``process -> serial`` backend ladder on
   :class:`~repro.faults.FaultError`, with the fault taxonomy re-exported
   here (:class:`FaultError`, :class:`TransientIOError`,
   :class:`CorruptPageError`, :class:`WorkerError`,
@@ -34,12 +36,7 @@ accounting reproduces the paper's uncached numbers exactly.
 """
 
 from repro.exec.access import AccessMethod, FilterResult
-from repro.exec.batch import (
-    SERIAL_FALLBACK_SAMPLE_OPS,
-    BatchExecutor,
-    BatchResult,
-    BatchStats,
-)
+from repro.exec.batch import BatchExecutor, BatchResult, BatchStats
 from repro.exec.mpexec import ProcessBatchExecutor, WorkerError, WorkerTimeout
 from repro.exec.resilience import (
     BatchSupervisor,
@@ -88,7 +85,6 @@ __all__ = [
     "ProcessBatchExecutor",
     "QueryExecutor",
     "RefinementEngine",
-    "SERIAL_FALLBACK_SAMPLE_OPS",
     "ScanCostModel",
     "TransientIOError",
     "WorkerError",

@@ -21,22 +21,10 @@ estimator derives its sample stream from ``(seed, object_id)``, so
 memoised and engine-computed values are bit-identical to freshly
 recomputed ones — batching changes cost, never answers.
 
-With ``parallelism > 1`` the three phases overlap: the main thread runs
-the filter walks, a dedicated fetch thread (the simulated disk arm) reads
-candidate pages — optionally sleeping ``io_latency_seconds`` per page —
-and a pool of refinement workers mask-and-reduce as soon as their pages
-land.  Answers are identical in every mode; ``parallelism=1`` runs the
-strictly serial path and reproduces its counters *exactly*, which is what
-the accounting tests pin.  In parallel mode the per-query physical-read /
-cache-hit attribution is not meaningful (threads interleave on the shared
-``IOCounter``), so it is left at zero and the authoritative totals live in
-:class:`BatchStats`; likewise ``prob_computations`` / ``memoized_probs`` /
-sample-cache counters may exceed their serial values when concurrent
-workers race to compute the same ``(object, rect)`` pair before either
-lands in the memo — the values themselves are deterministic, so only the
-cost accounting (never an answer) is affected.  Use ``parallelism=1``
-wherever paper-exact CPU counts matter (the figure harnesses default to
-it).
+The executor runs strictly serially, so every per-query counter is
+exact, which is what the accounting tests pin.  Multi-core execution is the process backend's job
+(:class:`~repro.exec.mpexec.ProcessBatchExecutor`, a subclass that
+forks per-shard workers and merges counters equal to this path's).
 
 Per-query :class:`~repro.core.stats.QueryStats` keep their *logical*
 meaning (a query that needed three data pages reports three data-page
@@ -44,10 +32,7 @@ reads even if the batch fetched them earlier); the batch-level savings
 show up in the physical counters and in :class:`BatchStats`.
 
 Against a :class:`~repro.exec.shard.ShardedAccessMethod` the executor is
-shard-aware: it routes every query itself, groups queries by identical
-shard-overlap sets, and (in parallel mode) runs one filter task per
-``(group, shard)`` on the worker pool, so different shards filter
-concurrently while refinement drains through the shared data file.
+shard-aware: it probes every query's routed shards itself, and
 :class:`BatchStats` then carries one :class:`~repro.core.stats.ShardStats`
 per shard (probes, filter node accesses, exact per-shard physical
 reads / cache hits — each shard owns its counter — and the candidates it
@@ -60,7 +45,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.core.query import ProbRangeQuery, QueryAnswer
@@ -71,29 +55,7 @@ from repro.geometry.rect import Rect
 from repro.storage.bufferpool import pool_counters, pools_of
 from repro.storage.pager import DiskAddress
 
-__all__ = [
-    "BatchExecutor",
-    "BatchResult",
-    "BatchStats",
-    "SERIAL_FALLBACK_SAMPLE_OPS",
-]
-
-# Queries per sharded filter task in parallel mode: large enough to
-# amortise task dispatch over a shard's warm walk, small enough that an
-# early query's probes resolve while the rest of its group still filters
-# (one task per whole group would stall the fetch/refine pipeline behind
-# the group's last member).
-_PROBE_CHUNK = 4
-
-# Batches whose estimated Monte-Carlo volume (queries x samples) falls
-# below this run serially even when parallelism > 1: thread dispatch
-# overhead exceeds the overlap it buys (the BENCH_shard wall-clock
-# inversion — 758 qps parallel vs 857 serial on a 48-query batch).
-# Calibrated so that workload (48 x 4000 = 192k sample-ops) falls back
-# while latency-bound or genuinely heavy batches still fan out.  Only
-# zero-latency batches are eligible: simulated disk latency is exactly
-# the case the fetch/refine overlap exists for.
-SERIAL_FALLBACK_SAMPLE_OPS = 250_000
+__all__ = ["BatchExecutor", "BatchResult", "BatchStats"]
 
 
 @dataclass
@@ -102,11 +64,8 @@ class BatchStats:
 
     queries: int = 0
     parallelism: int = 1
-    # Which backend executed the batch ("thread" covers the serial path
-    # too — one thread), and whether a parallel-configured executor chose
-    # the serial path for a batch below the fallback work threshold.
-    executor: str = "thread"
-    serial_fallback: bool = False
+    # Which backend executed the batch: "serial" or "process".
+    executor: str = "serial"
     # Sharded execution (zero / empty for monolithic methods): shard
     # count, per-shard filter probes actually executed, probes the
     # router pruned, and the per-shard cost breakdown.  Per-phase
@@ -274,21 +233,6 @@ class BatchExecutor:
         engine: refinement engine to use; defaults to one bound to the
             method's estimator.  The engine (and its sample cache)
             persists across :meth:`run` calls.
-        parallelism: refinement worker threads.  ``1`` (default) is the
-            strictly serial reference path with exact per-query
-            accounting; ``>= 2`` overlaps filter, page fetch and
-            Monte-Carlo refinement.
-        io_latency_seconds: simulated per-page disk latency applied by
-            the parallel fetch thread (the overlap the thread pool buys).
-            Ignored in serial mode, where latency is accounted
-            analytically by the harness.
-        serial_fallback_threshold: minimum estimated Monte-Carlo volume
-            (``len(queries) * estimator.n_samples``) for a zero-latency
-            batch to actually fan out when ``parallelism > 1``; smaller
-            batches run the serial path (identical answers *and*
-            counters, ``BatchStats.serial_fallback`` set).  ``0``
-            disables the fallback; ``None`` uses
-            :data:`SERIAL_FALLBACK_SAMPLE_OPS`.
     """
 
     def __init__(
@@ -298,27 +242,11 @@ class BatchExecutor:
         memoize: bool = True,
         dedupe_pages: bool = True,
         engine: RefinementEngine | None = None,
-        parallelism: int = 1,
-        io_latency_seconds: float = 0.0,
-        serial_fallback_threshold: int | None = None,
     ):
-        if parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
-        if io_latency_seconds < 0:
-            raise ValueError("io_latency_seconds must be non-negative")
-        if serial_fallback_threshold is not None and serial_fallback_threshold < 0:
-            raise ValueError("serial_fallback_threshold must be non-negative")
         self.method = method
         self.memoize = memoize
         self.dedupe_pages = dedupe_pages
         self.engine = engine if engine is not None else RefinementEngine.for_method(method)
-        self.parallelism = int(parallelism)
-        self.io_latency_seconds = float(io_latency_seconds)
-        self.serial_fallback_threshold = (
-            SERIAL_FALLBACK_SAMPLE_OPS
-            if serial_fallback_threshold is None
-            else int(serial_fallback_threshold)
-        )
         self._prob_memo: dict[tuple[DiskAddress, Rect], float] = {}
         self._pools = pools_of(method)
 
@@ -339,8 +267,8 @@ class BatchExecutor:
 
         Duck-typed so this module needs no import of
         :mod:`repro.exec.shard`: anything exposing ``shards`` plus the
-        ``route``/``merge_filter``/``filter_with`` trio gets shard-group
-        execution and per-shard accounting.
+        ``route``/``merge_filter``/``filter_with`` trio gets per-shard
+        probing and accounting.
         """
         method = self.method
         if (
@@ -401,8 +329,7 @@ class BatchExecutor:
     ) -> None:
         """Attach per-shard I/O deltas and totals to the batch summary.
 
-        Exact in both execution modes: only a shard's own filter probes
-        touch its private counter (refinement reads land on the shared
+        Exact: only a shard's own filter probes touch its private counter (refinement reads land on the shared
         data file), so a batch-window delta is that shard's filter I/O.
         """
         if shard_stats is None or baseline is None:
@@ -419,38 +346,6 @@ class BatchExecutor:
 
     def run(self, queries: Sequence[ProbRangeQuery]) -> BatchResult:
         """Execute the whole workload, amortising page fetches and P_app."""
-        if self.parallelism == 1:
-            return self._run_serial(queries)
-        if self._below_fallback_threshold(queries):
-            # Tiny batch: thread dispatch would cost more than it
-            # overlaps.  The serial path gives identical answers and
-            # exact counters; report the configured width plus the flag
-            # so callers can see the path taken.
-            result = self._run_serial(queries)
-            result.batch.parallelism = self.parallelism
-            result.batch.serial_fallback = True
-            return result
-        return self._run_parallel(queries)
-
-    def _below_fallback_threshold(self, queries: Sequence[ProbRangeQuery]) -> bool:
-        """Whether this batch is too small to be worth fanning out.
-
-        Only zero-latency batches are eligible — with simulated disk
-        latency the fetch/refine overlap is the whole point, however
-        small the batch.  Work is estimated as Monte-Carlo sample-ops:
-        queries times the estimator's per-object sample count.
-        """
-        if self.io_latency_seconds > 0.0 or self.serial_fallback_threshold <= 0:
-            return False
-        n_samples = getattr(
-            getattr(self.method, "estimator", None), "n_samples", 0
-        )
-        return len(queries) * n_samples < self.serial_fallback_threshold
-
-    # ------------------------------------------------------------------
-    # serial path: the exact-accounting reference
-    # ------------------------------------------------------------------
-    def _run_serial(self, queries: Sequence[ProbRangeQuery]) -> BatchResult:
         start = time.perf_counter()
         method = self.method
         io = method.io
@@ -461,7 +356,6 @@ class BatchExecutor:
 
         result = BatchResult()
         result.batch.queries = len(queries)
-        result.batch.parallelism = 1
         shard_stats = self._new_shard_stats()
         shard_baseline = self._shard_io_baseline()
 
@@ -542,205 +436,6 @@ class BatchExecutor:
             result.batch.fetch_seconds += sum(
                 s.fetch_seconds for _, s, _, _ in per_query
             )
-        self._settle_shard_stats(result, shard_stats, shard_baseline)
-        self._finalise(
-            result, per_query, io, reads0, writes0, hits0,
-            (cache_hits0, cache_misses0), pool0, start,
-        )
-        return result
-
-    # ------------------------------------------------------------------
-    # parallel path: filter / fetch / refine overlap
-    # ------------------------------------------------------------------
-    def _run_parallel(self, queries: Sequence[ProbRangeQuery]) -> BatchResult:
-        start = time.perf_counter()
-        method = self.method
-        io = method.io
-        reads0, writes0, hits0 = io.reads, io.writes, io.cache_hits
-        cache_hits0, cache_misses0 = self.engine.cache.counters()
-        pool0 = pool_counters(self._pools)
-        memo = self._prob_memo if self.memoize else None
-        latency = self.io_latency_seconds
-
-        result = BatchResult()
-        result.batch.queries = len(queries)
-        result.batch.parallelism = self.parallelism
-        shard_stats = self._new_shard_stats()
-        shard_baseline = self._shard_io_baseline()
-
-        fetch_clock: list[float] = []
-
-        def fetch(page_id: int) -> list:
-            t0 = time.perf_counter()
-            payloads = method.data_file.read_page(page_id)
-            if latency > 0.0:
-                time.sleep(latency)
-            fetch_clock.append(time.perf_counter() - t0)
-            return payloads
-
-        per_query: list[tuple[ProbRangeQuery, QueryStats, QueryAnswer, list]] = []
-        needed_pages: set[int] = set()
-        page_futures: dict[int, Future] = {}
-        refine_futures: list[Future] = []
-        fetch_count = 0
-
-        # One fetch worker models the single simulated disk arm; the
-        # refinement pool does the Monte-Carlo work.  Refine tasks block
-        # on fetch futures from a *different* executor, so the pools
-        # cannot deadlock on each other.
-        with ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="batch-fetch"
-        ) as io_pool, ThreadPoolExecutor(
-            max_workers=self.parallelism, thread_name_prefix="batch-refine"
-        ) as cpu_pool:
-
-            def loader(page_id: int) -> list:
-                if self.dedupe_pages:
-                    return page_futures[page_id].result()
-                # Undeduped mode still routes every read through the
-                # single fetch thread so the shared IOCounter and buffer
-                # pool see one writer.
-                return io_pool.submit(fetch, page_id).result()
-
-            def refine(
-                query: ProbRangeQuery,
-                stats: QueryStats,
-                answer: QueryAnswer,
-                candidates: list,
-            ) -> None:
-                t0 = time.perf_counter()
-                refine_with_engine(
-                    self.engine,
-                    candidates,
-                    query,
-                    method.data_file,
-                    stats,
-                    answer.object_ids,
-                    page_loader=loader,
-                    memo=memo,
-                    attribute_cache=False,  # batch-level deltas only
-                )
-                stats.result_count = len(answer.object_ids)
-                stats.wall_seconds += time.perf_counter() - t0
-
-            def schedule(
-                query: ProbRangeQuery,
-                stats: QueryStats,
-                answer: QueryAnswer,
-                filtered: FilterResult,
-            ) -> None:
-                """Queue one filtered query's page fetches and refinement."""
-                stats.node_accesses = filtered.node_accesses
-                stats.validated_directly = len(filtered.validated)
-                stats.pruned = filtered.pruned
-                stats.shard_probes = filtered.shard_probes
-                stats.shards_pruned = filtered.shards_pruned
-                answer.object_ids.extend(filtered.validated)
-                candidates = filtered.candidates
-                rect = query.rect
-                for _, addr in candidates:
-                    needed_pages.add(addr.page_id)
-                    if (
-                        self.dedupe_pages
-                        and addr.page_id not in page_futures
-                        and (memo is None or (addr, rect) not in memo)
-                    ):
-                        page_futures[addr.page_id] = io_pool.submit(
-                            fetch, addr.page_id
-                        )
-                per_query.append((query, stats, answer, candidates))
-                refine_futures.append(
-                    cpu_pool.submit(refine, query, stats, answer, candidates)
-                )
-
-            if shard_stats is None:
-                # Phase 1 on the main thread; fetch and refine tasks start
-                # flowing while later queries are still being filtered.
-                for query in queries:
-                    q_start = time.perf_counter()
-                    stats = QueryStats()
-                    answer = QueryAnswer(stats=stats)
-                    filtered = method.filter_candidates(query)
-                    stats.filter_seconds = time.perf_counter() - q_start
-                    stats.wall_seconds = stats.filter_seconds
-                    schedule(query, stats, answer, filtered)
-            else:
-                # Sharded phase 1: route every query on the main thread
-                # (cheap and deterministic), group queries by identical
-                # shard-overlap sets, and run the filter probes of each
-                # shard group on the worker pool — shard structures are
-                # read-only during queries and their counters/pools are
-                # lock-protected, so concurrent probes of one shard are
-                # safe.  A group's members are chunked across tasks so
-                # an early query's probes resolve without waiting for
-                # the whole group: its fetch and refinement overlap the
-                # remaining filter work, as in the monolithic path.
-                routes = [method.route(query) for query in queries]
-                groups: dict[frozenset[int], list[int]] = {}
-                for index, route in enumerate(routes):
-                    groups.setdefault(frozenset(route), []).append(index)
-
-                def probe_chunk(
-                    shard_id: int, members: list[int]
-                ) -> dict[int, tuple[FilterResult, float]]:
-                    shard = method.shards[shard_id]
-                    out: dict[int, tuple[FilterResult, float]] = {}
-                    for index in members:
-                        t0 = time.perf_counter()
-                        filtered = shard.filter_candidates(queries[index])
-                        out[index] = (filtered, time.perf_counter() - t0)
-                    return out
-
-                probe_futures: list[list[tuple[int, Future]]] = [
-                    [] for _ in queries
-                ]
-                for key, members in sorted(
-                    groups.items(), key=lambda item: item[1][0]
-                ):
-                    chunks = [
-                        members[at : at + _PROBE_CHUNK]
-                        for at in range(0, len(members), _PROBE_CHUNK)
-                    ]
-                    for shard_id in sorted(key):
-                        for chunk in chunks:
-                            future = cpu_pool.submit(
-                                probe_chunk, shard_id, chunk
-                            )
-                            for index in chunk:
-                                probe_futures[index].append((shard_id, future))
-                for index, query in enumerate(queries):
-                    stats = QueryStats()
-                    answer = QueryAnswer(stats=stats)
-                    probes: dict[int, tuple[FilterResult, float]] = {}
-                    for shard_id, future in probe_futures[index]:
-                        probes[shard_id] = future.result()[index]
-                    route = routes[index]
-                    filtered = method.merge_filter(
-                        route, [probes[shard_id][0] for shard_id in route]
-                    )
-                    for shard_id in route:
-                        self._tally_probe(
-                            shard_stats[shard_id], *probes[shard_id]
-                        )
-                    # Per-phase wall-clock once per query: each probe
-                    # bills its own elapsed time exactly once here — the
-                    # group task's other queries never land on this one.
-                    stats.filter_seconds = sum(
-                        elapsed for _, elapsed in probes.values()
-                    )
-                    stats.wall_seconds = stats.filter_seconds
-                    schedule(query, stats, answer, filtered)
-            for future in refine_futures:
-                future.result()
-            fetch_count = len(fetch_clock)
-
-        for _, stats, answer, _ in per_query:
-            result.answers.append(answer)
-            result.workload.add(stats)
-
-        result.batch.unique_data_pages = len(needed_pages)
-        result.batch.data_page_fetches = fetch_count
-        result.batch.fetch_seconds = sum(fetch_clock)
         self._settle_shard_stats(result, shard_stats, shard_baseline)
         self._finalise(
             result, per_query, io, reads0, writes0, hits0,

@@ -1,11 +1,11 @@
 """Multiprocess execution: per-shard workers over shared-memory columns.
 
-The thread pool in :mod:`repro.exec.batch` overlaps simulated I/O but
-cannot scale CPU-bound work past one interpreter: NumPy kernels release
-the GIL, the Python-side chunk loops and probe walks do not.  This module
-adds a process backend in the near-data-processing mould — push each
-piece of work to the worker that *owns* its data instead of funnelling
-everything through one interpreter:
+The serial :class:`~repro.exec.batch.BatchExecutor` runs in one
+interpreter, and threads would not scale its CPU-bound work: NumPy
+kernels release the GIL, the Python-side chunk loops and probe walks do
+not.  This module adds a process backend in the near-data-processing
+mould — push each piece of work to the worker that *owns* its data
+instead of funnelling everything through one interpreter:
 
 * **Workers** are forked processes, one per shard (shard ``s`` lands on
   worker ``s % workers``) or per round-robin chunk group for monolithic
@@ -31,7 +31,7 @@ the probability memo is keyed on ``(DiskAddress, rect)`` and the sample
 cache on the object (one address, one page), so both partition cleanly
 across workers.  Each worker processes its slice serially in submission
 order and computes its batch-level fetch set before refining — the same
-phase structure as :meth:`BatchExecutor._run_serial` — so per-query
+phase structure as :meth:`BatchExecutor.run` — so per-query
 ``QueryStats``, per-shard ``ShardStats`` and the batch totals all merge
 back equal to the serial run.  Two documented exceptions, both cost-only
 (answers are always identical): a buffer pool (``pool_capacity > 0``)
@@ -41,7 +41,7 @@ The defaults (no pool, no prewarm) are the exact regime, and the
 equivalence tests pin it.
 
 Workers persist across :meth:`ProcessBatchExecutor.run` calls — their
-memos and caches stay warm like the thread executor's — and are re-forked
+memos and caches stay warm like the serial executor's — and are re-forked
 automatically if the method grows or shrinks under them.  Shutdown is by
 ``close()`` (or context manager), with a ``weakref.finalize`` backstop so
 an abandoned executor never strands processes under pytest.
@@ -353,6 +353,8 @@ class ProcessBatchExecutor(BatchExecutor):
             raise ValueError("max_retries must be non-negative")
         if retry_backoff_seconds < 0:
             raise ValueError("retry_backoff_seconds must be non-negative")
+        if io_latency_seconds < 0:
+            raise ValueError("io_latency_seconds must be non-negative")
         if "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeError(
                 "the process executor requires the fork start method "
@@ -363,10 +365,9 @@ class ProcessBatchExecutor(BatchExecutor):
             memoize=memoize,
             dedupe_pages=dedupe_pages,
             engine=engine,
-            parallelism=int(workers),
-            io_latency_seconds=io_latency_seconds,
         )
         self.workers = int(workers)
+        self.io_latency_seconds = float(io_latency_seconds)
         self.share_memory = share_memory
         self.share_samples = share_samples
         self.worker_timeout = float(worker_timeout)

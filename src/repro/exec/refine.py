@@ -29,9 +29,8 @@ total`` in the same order.  Tests assert equality with ``==``, not
 
 :func:`refine_with_engine` is the refinement driver the executors plug
 into: it groups candidates by data page, pulls payloads (from a
-batch-preloaded mapping, a parallel page loader, or the data file
-directly), consults an optional cross-query memo, and batch-estimates
-whatever remains.
+batch-preloaded mapping or the data file directly), consults an
+optional cross-query memo, and batch-estimates whatever remains.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -257,15 +256,12 @@ def refine_with_engine(
     results: list[int],
     *,
     pages: Mapping[int, list] | None = None,
-    page_loader: Callable[[int], list] | None = None,
     memo: dict[tuple[DiskAddress, Rect], float] | None = None,
-    attribute_cache: bool = True,
 ) -> int:
     """The engine-backed refinement step shared by every executor.
 
     Candidates are grouped by data page; payloads come from ``pages`` (a
-    batch-preloaded mapping), ``page_loader`` (e.g. a future-resolving
-    fetch in the parallel executor) or ``data_file.read_page`` directly.
+    batch-preloaded mapping) or ``data_file.read_page`` directly.
     Logical accounting is unchanged from the historical per-pair path:
     each page holding a candidate charges one ``data_page_reads``, each
     estimated pair one ``prob_computations`` (memo hits count
@@ -280,11 +276,6 @@ def refine_with_engine(
     before any I/O, so a page whose candidates are all memoized is not
     fetched at all (its logical charge stands; the physical read is
     skipped).  Returns the number of pages actually fetched here.
-    ``page_loader`` time is *not* charged to ``fetch_seconds``: a loader
-    typically resolves a fetch shared by many queries (a future), so
-    per-query charging would double-count one physical fetch — the
-    parallel executor reports the authoritative fetch clock at batch
-    level instead.
     """
     by_page: dict[int, list[tuple[int, DiskAddress]]] = {}
     for oid, address in candidates:
@@ -311,9 +302,6 @@ def refine_with_engine(
         if unmemoized:
             if pages is not None and page_id in pages:
                 payloads = pages[page_id]
-            elif page_loader is not None:
-                payloads = page_loader(page_id)
-                fetched_pages += 1
             else:
                 fetch_start = time.perf_counter()
                 payloads = data_file.read_page(page_id)
@@ -341,13 +329,9 @@ def refine_with_engine(
             [(obj, rect) for _, obj in pending_pairs]
         )
         stats.prob_computations += len(pending_pairs)
-        if attribute_cache:
-            # Counter-window deltas are only meaningful when this query
-            # is the sole cache user in the window — the parallel
-            # executor disables this and reports batch-level deltas.
-            hits_after, misses_after = engine.cache.counters()
-            stats.sample_cache_hits += hits_after - hits_before
-            stats.sample_cache_misses += misses_after - misses_before
+        hits_after, misses_after = engine.cache.counters()
+        stats.sample_cache_hits += hits_after - hits_before
+        stats.sample_cache_misses += misses_after - misses_before
         for (slot, _), key, value in zip(pending_pairs, pending_keys, computed):
             verdicts[slot] = value
             if memo is not None:

@@ -6,9 +6,9 @@ pages and retries flaky reads (:mod:`repro.storage.pager`).  What
 neither can fix alone — a worker crash-loop past its retry budget, a
 corrupt page detected inside a forked worker, a fault class nobody
 anticipated — lands here: :class:`BatchSupervisor` re-runs the *whole
-batch* on the next backend down a configured ladder, typically
+batch* on the next backend down a configured ladder:
 
-    process  →  thread  →  serial
+    process  →  serial
 
 Answers are bit-identical at every level (the equivalence suite pins
 it), so degradation trades throughput for availability and nothing

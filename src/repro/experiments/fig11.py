@@ -17,7 +17,7 @@ import numpy as np
 from repro.exec.executor import measure_delete_drain, measure_insert_build
 from repro.experiments.config import Scale, active_scale
 from repro.experiments.data import DATASETS, dataset_objects
-from repro.experiments.harness import config_from_knobs, format_table
+from repro.experiments.harness import format_table
 
 __all__ = ["run", "main"]
 
@@ -26,7 +26,6 @@ def run(
     scale: Scale | None = None,
     datasets: tuple[str, ...] = DATASETS,
     config=None,
-    **legacy_knobs,
 ) -> dict:
     """Measure per-dataset insertion and deletion cost of the U-tree.
 
@@ -38,13 +37,13 @@ def run(
     columnar sidecar (and every delete releases its row), so the figure
     can report how much the kernel's bookkeeping adds to the paper's
     per-update numbers (I/O is untouched — the sidecar is
-    memory-resident).  The old ``filter_kernel=`` keyword folds in as a
-    deprecation shim.
+    memory-resident).  The default ``ExecConfig(batched=False)`` is the
+    paper's accounting.
     """
-    from repro.api import Database
+    from repro.api import Database, ExecConfig
 
     scale = scale if scale is not None else active_scale()
-    config = config_from_knobs(config, **legacy_knobs)
+    config = config if config is not None else ExecConfig(batched=False)
     out: dict = {}
     for name in datasets:
         objects = dataset_objects(name, scale)

@@ -92,7 +92,7 @@ class DegradedWarning(RuntimeWarning):
 
     Emitted once per degradation event: a scrubbed corrupt page, a
     respawned worker whose fault domain was retried, or a batch that
-    fell down the process → thread → serial ladder.  Answers are
+    fell down the process → serial ladder.  Answers are
     bit-identical in every degraded mode; the warning exists so silent
     capacity loss is visible to operators and assertable in tests.
     """

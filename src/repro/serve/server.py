@@ -357,6 +357,8 @@ class QueryServer:
         if not isinstance(spec, RangeSpec):
             raise BadRequest("explain prices range specs only")
         method = doc.get("method")
+        # Runs on this connection's thread, beside the dispatcher's batch:
+        # the buffer-pool and I/O-counter locks are what make that safe.
         with self.lock.read():
             explanation = self.db.explain(spec, method=method)
         return {

@@ -76,8 +76,9 @@ Pages in this simulator are live Python objects, so the pool caches only
 *identities*; hits skip the I/O charge, nothing else.  Writes are
 write-through: they always cost a physical write, and the written frame is
 retained (a just-written page is in memory).  All operations take an
-internal lock, so one pool may be shared by the parallel batch executor's
-fetch and filter threads.
+internal lock, so one pool may be shared by the query service's
+concurrent readers (an ``explain`` on a connection thread beside the
+dispatcher's batch, both under the shared read lock).
 """
 
 from __future__ import annotations

@@ -56,9 +56,9 @@ class IOCounter:
     instead, so ``logical_reads = reads + cache_hits`` while ``reads``
     keeps its uncached meaning.
 
-    Counter updates take an internal lock so the parallel batch executor's
-    filter and fetch threads can share one counter without losing
-    increments; snapshot reads stay lock-free (they are monotonic ints).
+    Counter updates take an internal lock so the query service's
+    concurrent readers (connection threads beside the dispatcher's
+    batch) can share one counter without losing increments; snapshot reads stay lock-free (they are monotonic ints).
     """
 
     def __init__(self) -> None:

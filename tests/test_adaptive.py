@@ -350,8 +350,7 @@ class TestDatabaseAdaptive:
         baseline = [sorted(r.object_ids) for r in db.run(specs)]
         db.close()
         for overrides in (
-            {"parallelism": 3},
-            {"executor": "process", "parallelism": 2},
+            {"parallelism": 2},
             {"filter_kernel": False},
             {"filter_kernel": True},
         ):
@@ -375,22 +374,12 @@ class TestDatabaseAdaptive:
                 db.run(_specs(), **override)
         assert db.explain(_specs()[0]).filter_kernel == db.config.kernel_enabled
 
-    def test_explain_serial_fallback_and_pool_fields(self):
-        config = ExecConfig(
-            parallelism=4, mc_samples=1000, pool_capacity=16, pool_policy="arc"
-        )
+    def test_explain_pool_fields(self):
+        config = ExecConfig(mc_samples=1000, pool_capacity=16, pool_policy="arc")
         db = Database.create(make_mixed_objects(12, seed=5), config)
-        spec = _specs()[0]
-        small = db.explain(spec, batch_size=10)
-        assert small.serial_fallback  # 10 x 1000 < 250k
-        assert small.batch_queries == 10
-        big = db.explain(spec, batch_size=300)
-        assert not big.serial_fallback  # 300 x 1000 >= 250k
-        assert small.pool_policy == "arc"
-        assert small.pool_capacity == 16
-        assert "serial fallback" in small.summary()
-        with pytest.raises(ValueError, match="batch_size"):
-            db.explain(spec, batch_size=0)
+        explanation = db.explain(_specs()[0])
+        assert explanation.pool_policy == "arc"
+        assert explanation.pool_capacity == 16
 
     def test_explain_reports_bound_skips(self):
         config = ExecConfig(shards=4, partitioner="hash", mc_samples=500)
@@ -429,16 +418,23 @@ class TestDatabaseAdaptive:
 
     @pytest.mark.parametrize("layout", ("npz", "wal"))
     def test_archive_with_retired_tuner_keys_opens(self, tmp_path, layout):
-        """Archives written while the database had an auto-tuner still open.
+        """Archives written with the auto-tuner or the executor knob open.
 
         The keys are injected into a fresh save: the retired config flag
-        set to true in the archived config and a ``"tuner"`` block in the
-        meta, exactly where older builds wrote them.  Opening ignores both.
+        set to true and the retired ``"executor"`` backend name in the
+        archived config, and a ``"tuner"`` block in the meta, exactly
+        where older builds wrote them.  Opening ignores all three; the
+        archived ``parallelism=2`` alone puts the reopened database on
+        the process backend.
         """
         import json
 
         config = ExecConfig(
-            shards=2, mc_samples=500, filter_kernel="on", wal=layout == "wal"
+            shards=2,
+            mc_samples=500,
+            filter_kernel="on",
+            wal=layout == "wal",
+            parallelism=2,
         )
         db = Database.create(
             make_mixed_objects(20, seed=5),
@@ -459,6 +455,7 @@ class TestDatabaseAdaptive:
 
         def inject(meta: dict) -> dict:
             meta["config"][RETIRED_TUNER_FLAG] = True
+            meta["config"]["executor"] = "thread"
             meta["tuner"] = tuner_block
             return meta
 
@@ -482,8 +479,11 @@ class TestDatabaseAdaptive:
         reopened = Database.open(path)
         for name in db.method_names:
             assert reopened.planner.bias(name) == db.planner.bias(name)
-        assert reopened.run(specs).answers() == db.run(specs).answers()
+        rerun = reopened.run(specs)
+        assert {batch.executor for batch in rerun.batches.values()} == {"process"}
+        assert rerun.answers() == db.run(specs).answers()
         reopened.close()
+        db.close()
 
     def test_single_utree_archive_round_trips_planner_state(self, tmp_path):
         db = Database.create(

@@ -4,8 +4,10 @@ The heart of this module is the equivalence matrix: ``Database.run``
 must be *bit-identical* to the hand-wired legacy paths
 (``QueryExecutor`` / ``BatchExecutor``) across
 {utree, upcr, scan} x {kernel on/off} x {shards 1/4} x
-{parallelism 1/4}, and ``ExecConfig.paper_exact()`` must reproduce the
-seed's per-query node-access / data-page / P_app accounting exactly.
+{parallelism 1/4} (the facade's serial and process backends, both
+against the hand-wired serial ``BatchExecutor``), and
+``ExecConfig.paper_exact()`` must reproduce the seed's per-query
+node-access / data-page / P_app accounting exactly.
 The facade adds no third execution path — these tests keep it that way.
 """
 
@@ -252,18 +254,16 @@ class TestEquivalenceMatrix:
     ):
         structure = structures(method, kernel, shards)
         queries = [spec.to_query() for spec in _specs()]
-        legacy = BatchExecutor(
-            structure, parallelism=parallelism
-        ).run(queries)
+        legacy = BatchExecutor(structure).run(queries)
 
-        db = Database.from_methods(
+        with Database.from_methods(
             {method: structure},
             ExecConfig(
                 filter_kernel=kernel, shards=shards, parallelism=parallelism,
                 mc_samples=N_SAMPLES, seed=SEED,
             ),
-        )
-        result = db.run(_specs())
+        ) as db:
+            result = db.run(_specs())
 
         assert [r.object_ids for r in result] == [
             a.object_ids for a in legacy.answers
@@ -697,74 +697,3 @@ class TestReproducibleSweeps:
         )
         assert range_only is not None and mixed is not None
         assert calibrated > 0
-
-
-class TestDeprecationShims:
-    def test_unknown_harness_knob_raises_type_error(self):
-        from repro.experiments.harness import config_from_knobs
-
-        with pytest.raises(TypeError, match="unknown harness knobs"):
-            config_from_knobs(None, shard=4)  # typo for shards=
-
-    def test_run_workload_batched_warns_and_still_works(self):
-        from repro.experiments.harness import run_workload_batched
-
-        structure = _legacy_structure("utree", "on", 1)
-        queries = [spec.to_query() for spec in _specs()[:2]]
-        with pytest.warns(DeprecationWarning, match="Database.run"):
-            stats = run_workload_batched(structure, queries)
-        assert stats.count == 2
-
-    def test_config_from_knobs_folds_and_warns(self):
-        from repro.experiments.harness import config_from_knobs
-
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            config = config_from_knobs(
-                None, shards=4, partitioner="hash", filter_kernel="off"
-            )
-        assert config.shards == 4
-        assert config.partitioner == "hash"
-        assert config.filter_kernel == "off"
-        assert not config.batched  # the harness default stays paper-style
-
-    def test_config_from_knobs_drops_parallelism_in_unbatched_runs(self):
-        """The old signatures ignored parallelism outside batched mode."""
-        from repro.experiments.harness import config_from_knobs
-
-        with pytest.warns(DeprecationWarning):
-            config = config_from_knobs(None, parallelism=4)
-        assert not config.batched and config.parallelism == 1
-        with pytest.warns(DeprecationWarning):
-            config = config_from_knobs(None, batched=True, parallelism=4)
-        assert config.batched and config.parallelism == 4
-
-    def test_config_from_knobs_passthrough_is_silent(self):
-        from repro.experiments.harness import config_from_knobs
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            config = config_from_knobs(ExecConfig(shards=2))
-        assert config.shards == 2
-
-    def test_fig_harness_legacy_knobs_fold_into_config(self):
-        from repro.experiments.config import Scale
-        from repro.experiments.data import clear_caches
-        from repro.experiments import fig9
-
-        clear_caches()
-        micro = Scale(
-            name="micro-api",
-            lb_objects=120,
-            ca_objects=120,
-            aircraft_objects=120,
-            queries_per_workload=2,
-            mc_samples=600,
-        )
-        try:
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                result = fig9.run(
-                    micro, datasets=("LB",), qs_values=(800.0,), shards=2
-                )
-            assert "shards=2" in result["LB"]["config"]
-        finally:
-            clear_caches()

@@ -1,19 +1,16 @@
 """Exactness suite for the process execution backend (repro.exec.mpexec).
 
-The process backend's contract is stronger than the thread pool's: under
-the paper-exact regime (no buffer pool, no sample prewarm) the merged
-per-query ``QueryStats``, per-shard ``ShardStats`` and batch totals are
-**equal** to the serial path's, not just the answers — page ownership
-partitions the probability memo and the sample cache cleanly across
-workers, and each worker mirrors the serial phase structure over its
-slice.  The matrix below pins that across {utree, upcr, scan} x
-{kernel on/off} x {shards 1/4}, with the thread backend asserted
-answers-identical alongside.
+The process backend's contract: under the paper-exact regime (no buffer
+pool, no sample prewarm) the merged per-query ``QueryStats``, per-shard
+``ShardStats`` and batch totals are **equal** to the serial path's, not
+just the answers — page ownership partitions the probability memo and
+the sample cache cleanly across workers, and each worker mirrors the
+serial phase structure over its slice.  The matrix below pins that across {utree, upcr, scan} x
+{kernel on/off} x {shards 1/4}.
 
 Also here: the shared-memory plumbing (`SharedArena`, kernel column
-rebinding, sample-cloud rebinding), the `DataFileView` reader, the
-tiny-batch serial fallback of the thread executor, the
-``executor="process"`` config/explain/env surface, pool lifecycle
+rebinding, sample-cloud rebinding), the `DataFileView` reader, how
+``parallelism`` selects the backend (config and explain), pool lifecycle
 (close, context manager, re-fork after updates) and the save/open round
 trip under the process backend.
 """
@@ -177,13 +174,13 @@ def _assert_equal_runs(serial, process, *, shards: int) -> None:
                 f"shard {s.shard} field {name}: "
                 f"serial={getattr(s, name)} process={getattr(p, name)}"
             )
-    assert serial.batch.executor == "thread"
+    assert serial.batch.executor == "serial"
     assert process.batch.executor == "process"
     assert (serial.batch.shards > 0) == (shards > 1)
 
 
 class TestEquivalenceMatrix:
-    """executor='process' vs 'thread' vs serial, exact counters."""
+    """The process backend vs the serial path, exact counters."""
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     @pytest.mark.parametrize("kernel", KERNELS, ids=["kernel", "scalar"])
@@ -196,15 +193,6 @@ class TestEquivalenceMatrix:
         ) as executor:
             process = executor.run(queries)
         _assert_equal_runs(serial, process, shards=shards)
-
-        threaded = BatchExecutor(
-            _build(method, kernel, shards),
-            parallelism=2,
-            serial_fallback_threshold=0,
-        ).run(queries)
-        assert [a.object_ids for a in threaded.answers] == [
-            a.object_ids for a in serial.answers
-        ]
 
     def test_second_batch_reuses_worker_memos(self):
         queries = _workload()
@@ -313,56 +301,9 @@ class TestPoolLifecycle:
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError):
             ProcessBatchExecutor(_build("utree", True, 1), workers=0)
-
-
-class TestSerialFallback:
-    """Tiny thread batches take the serial path; results pin either way."""
-
-    def test_small_batch_falls_back_with_exact_counters(self):
-        queries = _workload(6)
-        serial = BatchExecutor(_build("utree", True, 1)).run(queries)
-        parallel = BatchExecutor(_build("utree", True, 1), parallelism=4).run(
-            queries
-        )
-        assert parallel.batch.serial_fallback is True
-        assert parallel.batch.parallelism == 4
-        assert [a.object_ids for a in parallel.answers] == [
-            a.object_ids for a in serial.answers
-        ]
-        for s, p in zip(serial.workload.queries, parallel.workload.queries):
-            for name in QUERY_FIELDS:
-                assert getattr(s, name) == getattr(p, name)
-
-    def test_threshold_zero_disables_fallback(self):
-        queries = _workload(6)
-        serial = BatchExecutor(_build("utree", True, 1)).run(queries)
-        forced = BatchExecutor(
-            _build("utree", True, 1), parallelism=4, serial_fallback_threshold=0
-        ).run(queries)
-        assert forced.batch.serial_fallback is False
-        assert [a.object_ids for a in forced.answers] == [
-            a.object_ids for a in serial.answers
-        ]
-
-    def test_latency_batches_never_fall_back(self):
-        result = BatchExecutor(
-            _build("utree", True, 1),
-            parallelism=2,
-            io_latency_seconds=0.0005,
-        ).run(_workload(4))
-        assert result.batch.serial_fallback is False
-        assert result.batch.parallelism == 2
-
-    def test_large_estimated_work_fans_out(self):
-        executor = BatchExecutor(_build("utree", True, 1), parallelism=2)
-        many = _workload(4) * 200  # 800 queries x 600 samples > threshold
-        assert executor._below_fallback_threshold(many) is False
-        assert executor._below_fallback_threshold(_workload(4)) is True
-
-    def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
-            BatchExecutor(
-                _build("utree", True, 1), serial_fallback_threshold=-1
+            ProcessBatchExecutor(
+                _build("utree", True, 1), io_latency_seconds=-1.0
             )
 
 
@@ -441,27 +382,29 @@ class TestSharedMemoryPlumbing:
 
 
 class TestConfigSurface:
-    def test_executor_knob_validation(self):
-        assert ExecConfig().executor == "thread"
-        assert ExecConfig(executor="process").executor == "process"
-        with pytest.raises(ValueError):
-            ExecConfig(executor="greenlet")
-        with pytest.raises(ValueError):
-            ExecConfig(executor="process", batched=False)
-
-    def test_executor_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        config = ExecConfig.from_env()
-        assert config.executor == "process"
-        monkeypatch.setenv("REPRO_EXECUTOR", "THREAD")
-        assert ExecConfig.from_env().executor == "thread"
-        monkeypatch.delenv("REPRO_EXECUTOR")
-        assert ExecConfig.from_env().executor == "thread"
-
-    def test_executor_json_round_trip(self):
-        config = ExecConfig(executor="process", parallelism=4)
-        assert ExecConfig.from_json(config.to_json()) == config
-        assert "executor='process'" in config.summary()
+    def test_parallelism_selects_the_backend(self):
+        specs = [
+            RangeSpec(rect=q.rect, threshold=q.threshold)
+            for q in _workload(4)
+        ]
+        serial_db = Database.create(
+            _objects(60), ExecConfig(mc_samples=N_SAMPLES), methods=("utree",)
+        )
+        assert type(serial_db._batch_executor("utree")) is BatchExecutor
+        assert serial_db.run(specs).batch.executor == "serial"
+        with Database.create(
+            _objects(60),
+            ExecConfig(mc_samples=N_SAMPLES, parallelism=2, shards=4),
+            methods=("utree",),
+        ) as process_db:
+            assert isinstance(
+                process_db._batch_executor("utree"), ProcessBatchExecutor
+            )
+            explanation = process_db.explain(specs[0])
+        assert "process x2" in explanation.summary()
+        assert explanation.worker_layout == (0, 1, 0, 1)
+        with pytest.raises(TypeError):
+            ExecConfig(executor="process")
 
 
 class TestDatabaseProcessBackend:
@@ -473,19 +416,19 @@ class TestDatabaseProcessBackend:
             RangeSpec(rect=q.rect, threshold=q.threshold)
             for q in _workload(8)
         ]
-        thread_db = self._database(ExecConfig(mc_samples=N_SAMPLES))
+        serial_db = self._database(ExecConfig(mc_samples=N_SAMPLES))
         with self._database(
-            ExecConfig(mc_samples=N_SAMPLES, executor="process", parallelism=2)
+            ExecConfig(mc_samples=N_SAMPLES, parallelism=2)
         ) as process_db:
             process_run = process_db.run(specs)
-        thread_run = thread_db.run(specs)
-        assert process_run.answers() == thread_run.answers()
+        serial_run = serial_db.run(specs)
+        assert process_run.answers() == serial_run.answers()
         assert process_run.batch.executor == "process"
-        assert thread_run.batch.executor == "thread"
+        assert serial_run.batch.executor == "serial"
 
     def test_explain_reports_backend_and_layout(self):
         config = ExecConfig(
-            mc_samples=N_SAMPLES, executor="process", parallelism=2, shards=4
+            mc_samples=N_SAMPLES, parallelism=2, shards=4
         )
         with self._database(config) as db:
             spec = RangeSpec(
@@ -504,13 +447,13 @@ class TestDatabaseProcessBackend:
             for q in _workload(6)
         ]
         config = ExecConfig(
-            mc_samples=N_SAMPLES, executor="process", parallelism=2, shards=4
+            mc_samples=N_SAMPLES, parallelism=2, shards=4
         )
         path = tmp_path / "db.npz"
         with self._database(config) as db:
             before = db.run(specs)
             db.save(path)
         with Database.open(path) as restored:
-            assert restored.config.executor == "process"
+            assert restored.config.parallelism == 2
             after = restored.run(specs)
         assert after.answers() == before.answers()

@@ -1,10 +1,10 @@
 """Tests for the vectorized sample-reuse refinement engine.
 
 The load-bearing contract: every value the engine produces — scalar,
-batched, cached, parallel — is **bit-identical** (``==``, never
+batched, cached — is **bit-identical** (``==``, never
 ``approx``) to the per-pair :class:`AppearanceEstimator` with the same
 ``(n_samples, seed)``, across every pdf family and both region shapes.
-Everything else (cache accounting, executor parallelism, phase clocks) is
+Everything else (cache accounting, batch execution, phase clocks) is
 layered on top of that guarantee.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import ExecConfig
 from repro.core.query import ProbRangeQuery
 from repro.core.utree import UTree
 from repro.exec import BatchExecutor, RefinementEngine, execute_query
@@ -390,9 +391,7 @@ class TestParallelBatchExecutor:
         tree = _tree()
         workload = _workload(8)
         reference = [execute_query(tree, q) for q in workload]
-        batch = BatchExecutor(
-            tree, parallelism=1, memoize=False, dedupe_pages=False
-        ).run(workload)
+        batch = BatchExecutor(tree, memoize=False, dedupe_pages=False).run(workload)
         for ref, bat in zip(reference, batch.workload.queries):
             assert bat.node_accesses == ref.stats.node_accesses
             assert bat.data_page_reads == ref.stats.data_page_reads
@@ -408,55 +407,24 @@ class TestParallelBatchExecutor:
         # the memo; the two must sum to the memo-less computation count.
         tree = _tree()
         workload = _workload(6) * 2
-        plain = BatchExecutor(tree, parallelism=1, memoize=False).run(workload)
-        memoed = BatchExecutor(tree, parallelism=1).run(workload)
+        plain = BatchExecutor(tree, memoize=False).run(workload)
+        memoed = BatchExecutor(tree).run(workload)
         for p, m in zip(plain.workload.queries, memoed.workload.queries):
             assert m.prob_computations + m.memoized_probs == p.prob_computations
         assert memoed.batch.memo_hits > 0
 
-    def test_parallel_answers_identical_to_sequential(self):
-        tree = _tree()
-        workload = _workload(10)
-        expected = [execute_query(tree, q).object_ids for q in workload]
-        for parallelism in (2, 4):
-            result = BatchExecutor(tree, parallelism=parallelism).run(workload)
-            assert [a.object_ids for a in result.answers] == expected
-            assert result.batch.parallelism == parallelism
-
-    def test_parallel_logical_io_preserved(self):
-        tree = _tree()
-        workload = _workload(8)
-        serial = BatchExecutor(tree, parallelism=1).run(workload)
-        parallel = BatchExecutor(tree, parallelism=3).run(workload)
-        for s, p in zip(serial.workload.queries, parallel.workload.queries):
-            assert s.node_accesses == p.node_accesses
-            assert s.data_page_reads == p.data_page_reads
-        assert (
-            serial.batch.logical_data_page_reads
-            == parallel.batch.logical_data_page_reads
-        )
-        assert serial.batch.unique_data_pages == parallel.batch.unique_data_pages
-
-    def test_parallel_with_simulated_latency_and_no_dedupe(self):
-        tree = _tree(60)
-        workload = _workload(5)
-        expected = [execute_query(tree, q).object_ids for q in workload]
-        result = BatchExecutor(
-            tree,
-            parallelism=3,
-            dedupe_pages=False,
-            io_latency_seconds=0.001,
-        ).run(workload)
-        assert [a.object_ids for a in result.answers] == expected
-        assert result.batch.fetch_seconds > 0.0
-        assert result.batch.data_page_fetches == result.batch.logical_data_page_reads
-
     def test_invalid_parallelism_rejected(self):
+        # Parallelism and page latency are validated by ExecConfig, which
+        # picks the backend; the serial BatchExecutor takes neither knob.
         tree = _tree(20)
         with pytest.raises(ValueError):
-            BatchExecutor(tree, parallelism=0)
+            ExecConfig(batched=True, parallelism=0)
         with pytest.raises(ValueError):
-            BatchExecutor(tree, io_latency_seconds=-1.0)
+            ExecConfig(io_latency_seconds=-1.0)
+        with pytest.raises(TypeError):
+            BatchExecutor(tree, parallelism=2)
+        with pytest.raises(TypeError):
+            BatchExecutor(tree, io_latency_seconds=0.001)
 
     def test_batch_sample_cache_accounting(self):
         tree = _tree()

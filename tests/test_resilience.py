@@ -16,7 +16,7 @@ Layers under test:
   owning :class:`Database` stay usable afterwards);
 * the storage integrity gate — crc32 shadow checksums, quarantine/scrub
   of corrupt pages, bounded retry of transient ``OSError`` reads;
-* the graceful-degradation ladder (``process -> thread -> serial``)
+* the graceful-degradation ladder (``process -> serial``)
   that :class:`Database` walks under ``on_fault="degrade"``;
 * the off-switch: every knob at its default must leave behaviour and
   counters byte-identical to the pre-resilience engine.
@@ -461,7 +461,6 @@ class TestGracefulDegradation:
 
     def test_respawn_absorbed_without_degradation(self, fault_free):
         db = _db(
-            executor="process",
             parallelism=2,
             on_fault="degrade",
             worker_timeout=10.0,
@@ -483,7 +482,6 @@ class TestGracefulDegradation:
 
     def test_degrades_to_thread_when_budget_exhausted(self, fault_free):
         db = _db(
-            executor="process",
             parallelism=2,
             on_fault="degrade",
             worker_timeout=10.0,
@@ -496,7 +494,7 @@ class TestGracefulDegradation:
             out = db.run(_specs())
         assert _ids_and_probs(out) == fault_free
         batch = out.batch
-        assert batch.degraded_to == "thread"
+        assert batch.degraded_to == "serial"
         assert len(batch.fault_events) == 1
         assert "WorkerError" in batch.fault_events[0]
         db.close()
@@ -566,23 +564,22 @@ class TestGracefulDegradation:
 
     def test_explain_reports_resilience_posture(self):
         db = _db(
-            executor="process",
             parallelism=2,
             on_fault="degrade",
             checksum=True,
             worker_timeout=2.0,
             max_retries=1,
         )
-        explanation = db.explain(_specs()[0], batch_size=4)
+        explanation = db.explain(_specs()[0])
         assert explanation.on_fault == "degrade"
         assert explanation.checksum is True
-        assert explanation.degradation_ladder == ("process", "thread", "serial")
+        assert explanation.degradation_ladder == ("process", "serial")
         assert "resilience" in explanation.summary()
         db.close()
 
     def test_explain_fail_mode_has_empty_ladder(self):
         db = _db()
-        explanation = db.explain(_specs()[0], batch_size=4)
+        explanation = db.explain(_specs()[0])
         assert explanation.on_fault == "fail"
         assert explanation.degradation_ladder == ()
         assert "resilience" not in explanation.summary()
@@ -590,7 +587,7 @@ class TestGracefulDegradation:
 
     def test_database_survives_fail_mode_worker_death(self, fault_free):
         """Satellite 1 at the Database level: run, kill, run, run."""
-        db = _db(executor="process", parallelism=2)
+        db = _db(parallelism=2)
         first = db.run(_specs())
         assert _ids_and_probs(first) == fault_free
         ex = db._batch_executor("utree")
@@ -612,7 +609,6 @@ class TestWalChaos:
 
         db = _db(
             wal=True,
-            executor="process",
             parallelism=2,
             on_fault="degrade",
             worker_timeout=10.0,
@@ -629,7 +625,7 @@ class TestWalChaos:
         arm_chaos(ex, 0, "exit")
         with pytest.warns(DegradedWarning):
             out = db.run(_specs())
-        assert out.batch.degraded_to == "thread"
+        assert out.batch.degraded_to == "serial"
         expected = [db.query(spec).sorted_ids() for spec in _specs()]
         db.close()
 

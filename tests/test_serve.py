@@ -135,8 +135,7 @@ class TestWireEquivalence:
         expected = [r.object_ids for r in reference.run(specs).results]
         reference.close()
         for overrides in (
-            {"parallelism": 3},
-            {"executor": "process", "parallelism": 2},
+            {"parallelism": 2},
             {"kernel": False},
             {"kernel": True},
         ):

@@ -4,18 +4,15 @@ The shard layer's contract is *observable equivalence*: for every pdf
 family and both partitioners, a sharded structure returns bit-identical
 answers (object sets **and** P_app values, asserted with ``==``) to the
 monolithic structure over the same objects — across threshold queries,
-nearest-neighbour queries, both executors and every parallelism mode.
+nearest-neighbour queries and both executors.
 ``shards=1`` degenerates to the plain structure down to its node-access
 counts; with pruning disabled the refinement phase performs identical
-physical page fetches; empty and degenerate shards are legal.
-
-``REPRO_SHARD_PARALLELISM`` adds a thread-pool parallelism level to the
-parametrised executor tests (the CI matrix leg pins it to 4).
+physical page fetches; empty and degenerate shards are legal.  The
+process backend's sharded batches are pinned against the serial ones in
+``tests/test_multicore.py``.
 """
 
 from __future__ import annotations
-
-from repro.env import env_int
 
 import numpy as np
 import pytest
@@ -50,10 +47,8 @@ from repro.uncertainty.regions import BallRegion, BoxRegion
 N_SAMPLES = 1500
 FAMILIES = ("uniform", "congau", "histogram", "radial", "mixture")
 PARTITIONERS = ("str", "hash")
-# The thread-pool width comes through the package's single env-resolution
-# point (the CI matrix leg sets REPRO_SHARD_PARALLELISM); default 4 so the
-# parallel path is always exercised locally.
-PARALLELISMS = tuple(sorted({1, env_int("REPRO_SHARD_PARALLELISM", 4)}))
+# BatchExecutor is the serial backend: width 1.
+PARALLELISMS = (1,)
 
 
 def _estimator() -> AppearanceEstimator:
@@ -354,17 +349,17 @@ class TestBatchParallelism:
         sharded = _sharded(registry, "congau", partitioner)
         workload = _workload(8, seed=71)
         expected = [execute_query(mono, q).sorted_ids() for q in workload]
-        result = BatchExecutor(sharded, parallelism=parallelism).run(workload)
+        result = BatchExecutor(sharded).run(workload)
         assert [a.sorted_ids() for a in result.answers] == expected
         assert result.batch.shards == sharded.shard_count
         assert result.batch.parallelism == parallelism
 
     @pytest.mark.parametrize("parallelism", PARALLELISMS)
     def test_shard_stats_merge(self, registry, parallelism):
-        """Per-shard accounting is exact and consistent in every mode."""
+        """Per-shard accounting is exact and consistent."""
         sharded = _sharded(registry, "uniform", "str")
         workload = _workload(8, seed=73)
-        result = BatchExecutor(sharded, parallelism=parallelism).run(workload)
+        result = BatchExecutor(sharded).run(workload)
         stats = result.batch.shard_stats
         assert len(stats) == sharded.shard_count
         assert sum(s.probes for s in stats) == result.batch.shard_probes
@@ -381,20 +376,15 @@ class TestBatchParallelism:
             s.probes + s.routed_away == len(workload) for s in stats
         )
         # Candidates fed to refinement, attributed per shard: every
-        # refined (object, query) pair came from exactly one probe.  In
-        # serial mode the per-query computed + memoised counts equal the
-        # candidate feed exactly; parallel workers may race the memo and
-        # recompute a pair, so the feed is a lower bound there.
+        # refined (object, query) pair came from exactly one probe, so the
+        # per-query computed + memoised counts equal the candidate feed.
         shard_candidates = sum(s.candidates for s in stats)
         refined_pairs = sum(
             q.prob_computations + q.memoized_probs
             for q in result.workload.queries
         )
         assert shard_candidates > 0
-        if parallelism == 1:
-            assert shard_candidates == refined_pairs
-        else:
-            assert shard_candidates <= refined_pairs
+        assert shard_candidates == refined_pairs
 
     @pytest.mark.parametrize("parallelism", PARALLELISMS)
     def test_phase_wallclock_summed_once_per_query(self, registry, parallelism):
@@ -404,7 +394,7 @@ class TestBatchParallelism:
         sharded = _sharded(registry, "uniform", "str")
         sharded.prune = False  # every query probes all 3 shards
         workload = _workload(6, seed=79)
-        result = BatchExecutor(sharded, parallelism=parallelism).run(workload)
+        result = BatchExecutor(sharded).run(workload)
         queries = result.workload.queries
         assert result.batch.filter_seconds == sum(q.filter_seconds for q in queries)
         assert result.batch.refine_seconds == sum(q.refine_seconds for q in queries)
