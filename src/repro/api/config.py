@@ -30,13 +30,11 @@ from dataclasses import dataclass
 
 from repro import env as repro_env
 from repro.core.filterkernel import FILTER_KERNEL_ENV, resolve_filter_kernel
-from repro.storage.bufferpool import POOL_POLICIES
 from repro.uncertainty.montecarlo import AppearanceEstimator
 
 __all__ = ["ExecConfig"]
 
 _PARTITIONER_NAMES = ("str", "hash")
-_POOL_POLICY_NAMES = POOL_POLICIES
 _ON_FAULT_NAMES = ("fail", "degrade")
 
 
@@ -66,12 +64,8 @@ class ExecConfig:
         io_latency_seconds: simulated per-page latency, applied inside
             each process worker's page reader (``parallelism >= 2``).
         pool_capacity: buffer-pool frames (0 = paper-exact uncached I/O).
-        pool_policy: buffer-pool replacement policy, ``"lru"``, ``"2q"``
-            (default) or ``"arc"`` (adaptive, with ghost lists).
-            Environment default via ``REPRO_POOL_POLICY``.
-        pool_probation: 2Q probation-FIFO frames; ``None`` keeps the
-            built-in ``max(1, capacity // 8)``.  Ignored by the other
-            policies.  Environment default via ``REPRO_POOL_PROBATION``.
+            The pool is scan-resistant 2Q with a built-in probation FIFO
+            of ``max(1, capacity // 8)`` frames.
         probe_bound: let the shard router stop probing once the
             cost-ordered cheapest shards provably satisfy the query
             (Observation-4 residual-probability bound for ranges,
@@ -156,8 +150,6 @@ class ExecConfig:
     dedupe_pages: bool = True
     io_latency_seconds: float = 0.0
     pool_capacity: int = 0
-    pool_policy: str = "2q"
-    pool_probation: int | None = None
     probe_bound: bool = True
     wal: bool = False
     reclaim: bool = False
@@ -195,13 +187,6 @@ class ExecConfig:
             raise ValueError("io_latency_seconds must be non-negative")
         if self.pool_capacity < 0:
             raise ValueError("pool_capacity must be non-negative")
-        if self.pool_policy not in _POOL_POLICY_NAMES:
-            raise ValueError(
-                f"unknown pool_policy {self.pool_policy!r}; "
-                f"pick one of {_POOL_POLICY_NAMES}"
-            )
-        if self.pool_probation is not None and self.pool_probation < 0:
-            raise ValueError("pool_probation must be non-negative")
         if self.on_fault not in _ON_FAULT_NAMES:
             raise ValueError(
                 f"unknown on_fault {self.on_fault!r}; "
@@ -246,12 +231,6 @@ class ExecConfig:
         if kernel is not None:
             fields["filter_kernel"] = kernel
         fields["parallelism"] = repro_env.env_int("REPRO_SHARD_PARALLELISM", 1)
-        policy = repro_env.env_value("REPRO_POOL_POLICY")
-        if policy is not None and policy.strip():
-            fields["pool_policy"] = policy.strip().lower()
-        probation = repro_env.env_value("REPRO_POOL_PROBATION")
-        if probation is not None and probation.strip():
-            fields["pool_probation"] = int(probation)
         bound = repro_env.env_value("REPRO_PROBE_BOUND")
         if bound is not None and bound.strip():
             fields["probe_bound"] = repro_env.env_flag("REPRO_PROBE_BOUND")

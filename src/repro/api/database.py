@@ -206,7 +206,6 @@ class Explanation:
     # How many probes the router's residual-probability bound dropped
     # beyond plain MBR pruning (sharded choices only).
     shards_bound_skipped: int = 0
-    pool_policy: str = "2q"
     pool_capacity: int = 0
     # Resilience posture: how a fault mid-batch would be handled.  With
     # on_fault="degrade", degradation_ladder lists the backend fallback
@@ -242,10 +241,7 @@ class Explanation:
             f"calibration: {self.data_records_per_page:.2f} records/page"
         )
         if self.pool_capacity:
-            lines.append(
-                f"  buffer pool: {self.pool_policy}, "
-                f"{self.pool_capacity} frames"
-            )
+            lines.append(f"  buffer pool: {self.pool_capacity} frames")
         if self.on_fault != "fail" or self.checksum:
             ladder = " -> ".join(self.degradation_ladder) or "none"
             lines.append(
@@ -428,22 +424,12 @@ class Database:
                     page_size=config.page_size,
                     estimator=estimator,
                     pool_capacity=config.pool_capacity,
-                    pool_policy=config.pool_policy,
-                    pool_probation=config.pool_probation,
                     prune=config.prune,
                     probe_bound=config.probe_bound,
                     filter_kernel=config.filter_kernel,
                 )
             else:
-                pool = (
-                    BufferPool(
-                        config.pool_capacity,
-                        policy=config.pool_policy,
-                        probation_capacity=config.pool_probation,
-                    )
-                    if config.pool_capacity
-                    else None
-                )
+                pool = BufferPool(config.pool_capacity) if config.pool_capacity else None
                 method = _build_monolithic(base, dim, cat, config, estimator, pool)
                 for obj in objects:
                     method.insert(obj)
@@ -751,8 +737,6 @@ class Database:
                 page_size=old.data_file.page_size,
                 estimator=old.estimator,
                 pool_capacity=self.config.pool_capacity,
-                pool_policy=self.config.pool_policy,
-                pool_probation=self.config.pool_probation,
                 prune=old.prune,
                 probe_bound=old.probe_bound,
                 filter_kernel="on" if _has_kernel(old) else "off",
@@ -1169,7 +1153,6 @@ class Database:
             executor="process" if process else "serial",
             worker_layout=layout,
             shards_bound_skipped=bound_skipped,
-            pool_policy=self.config.pool_policy,
             pool_capacity=self.config.pool_capacity,
             on_fault=self.config.on_fault,
             worker_timeout=self.config.worker_timeout,
@@ -1451,15 +1434,7 @@ class Database:
             config = ExecConfig.from_json(json.dumps(meta["config"]))
         if config is None:
             config = ExecConfig()
-        pool = (
-            BufferPool(
-                config.pool_capacity,
-                policy=config.pool_policy,
-                probation_capacity=config.pool_probation,
-            )
-            if config.pool_capacity
-            else None
-        )
+        pool = BufferPool(config.pool_capacity) if config.pool_capacity else None
         tree = load_utree(
             path,
             estimator=config.estimator(),

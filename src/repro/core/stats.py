@@ -58,10 +58,6 @@ class QueryStats:
     # hits during this query.  Without a pool, physical == logical.
     physical_reads: int = 0
     cache_hits: int = 0
-    # ARC-policy pools only: misses whose identity was still remembered by
-    # a ghost list (B1/B2) — the "would have hit under a different
-    # recency/frequency split" signal driving target adaptation.
-    pool_ghost_hits: int = 0
     # Appearance probabilities served from the batch memo instead of being
     # recomputed (only the batched executor produces nonzero values).
     memoized_probs: int = 0
@@ -204,10 +200,6 @@ class WorkloadStats:
     @property
     def total_cache_hits(self) -> int:
         return sum(q.cache_hits for q in self.queries)
-
-    @property
-    def total_pool_ghost_hits(self) -> int:
-        return sum(q.pool_ghost_hits for q in self.queries)
 
     @property
     def avg_prob_computations(self) -> float:

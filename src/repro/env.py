@@ -36,8 +36,6 @@ KNOWN_ENV_KEYS: dict[str, str] = {
     "REPRO_FILTER_KERNEL": "vectorized filter kernel on/off (ExecConfig.filter_kernel)",
     "REPRO_SHARD_PARALLELISM": "batch workers: 1 = in-process serial, >= 2 = forked processes (ExecConfig.parallelism)",
     "REPRO_FULL_SCALE": "paper-scale experiment parameters (ExecConfig.full_scale)",
-    "REPRO_POOL_POLICY": "buffer-pool replacement lru|2q|arc (ExecConfig.pool_policy)",
-    "REPRO_POOL_PROBATION": "2Q probation FIFO frames (ExecConfig.pool_probation)",
     "REPRO_PROBE_BOUND": "latency-bounded shard probing on/off (ExecConfig.probe_bound)",
     "REPRO_WAL": "write-ahead-logged durable saves on/off (ExecConfig.wal)",
     "REPRO_RECLAIM": "data-file free-slot reuse on/off (ExecConfig.reclaim)",

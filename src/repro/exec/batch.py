@@ -83,15 +83,11 @@ class BatchStats:
     physical_writes: int = 0
     cache_hits: int = 0
     # Buffer-pool accounting across every pool the method touches (node
-    # stores plus data files, all shards).  ``pool_ghost_hits`` is
-    # nonzero only under the ARC policy: misses whose identity a ghost
-    # list still remembered.  Under the process backend the workers'
-    # forked pool copies do the filtering, so the parent-side deltas
-    # reported here stay near zero.
-    pool_policy: str = ""
+    # stores plus data files, all shards).  Under the process backend the
+    # workers' forked pool copies do the filtering, so the parent-side
+    # deltas reported here stay near zero.
     pool_hits: int = 0
     pool_misses: int = 0
-    pool_ghost_hits: int = 0
     prob_computations: int = 0
     memo_hits: int = 0
     sample_cache_hits: int = 0
@@ -178,10 +174,7 @@ class BatchStats:
             ["pages saved", self.data_pages_saved],
             ["physical reads", self.physical_reads],
             ["cache hits", self.cache_hits],
-            ["pool policy / hit rate",
-             f"{self.pool_policy or 'none'} / {100 * self.pool_hit_rate:.1f}%"
-             + (f" ({self.pool_ghost_hits} ghost hits)"
-                if self.pool_ghost_hits else "")],
+            ["pool hit rate", f"{100 * self.pool_hit_rate:.1f}%"],
             ["P_app computed", self.prob_computations],
             ["P_app memo hits", self.memo_hits],
             ["sample-cache hit rate", f"{100 * self.sample_cache_hit_rate:.1f}%"],
@@ -452,7 +445,7 @@ class BatchExecutor:
         writes0: int,
         hits0: int,
         cache_baseline: tuple[int, int],
-        pool_baseline: tuple[int, int, int],
+        pool_baseline: tuple[int, int],
         start: float,
     ) -> None:
         result.batch.logical_data_page_reads = sum(
@@ -483,7 +476,4 @@ class BatchExecutor:
         pool1 = pool_counters(self._pools)
         result.batch.pool_hits = pool1[0] - pool_baseline[0]
         result.batch.pool_misses = pool1[1] - pool_baseline[1]
-        result.batch.pool_ghost_hits = pool1[2] - pool_baseline[2]
-        if self._pools:
-            result.batch.pool_policy = self._pools[0].policy
         result.batch.wall_seconds = time.perf_counter() - start

@@ -32,7 +32,6 @@ from repro.core.query import ProbRangeQuery, QueryAnswer
 from repro.core.stats import QueryStats, WorkloadStats
 from repro.exec.access import AccessMethod
 from repro.exec.refine import RefinementEngine, refine_with_engine
-from repro.storage.bufferpool import pools_of
 
 __all__ = [
     "QueryExecutor",
@@ -61,8 +60,6 @@ def execute_query(
     io = method.io
     reads_before = io.reads
     hits_before = io.cache_hits
-    pools = pools_of(method)
-    ghosts_before = sum(p.ghost_hits for p in pools)
     if engine is None:
         engine = RefinementEngine.for_method(method)
 
@@ -87,7 +84,6 @@ def execute_query(
 
     stats.physical_reads = io.reads - reads_before
     stats.cache_hits = io.cache_hits - hits_before
-    stats.pool_ghost_hits = sum(p.ghost_hits for p in pools) - ghosts_before
     stats.result_count = len(answer.object_ids)
     stats.wall_seconds = time.perf_counter() - start
     return answer

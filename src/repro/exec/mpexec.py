@@ -871,8 +871,6 @@ class ProcessBatchExecutor(BatchExecutor):
         batch.cache_hits = sum(s.cache_hits for _, s, _, _ in per_query)
         batch.fault_retries = self._run_retries
         batch.worker_respawns = self._run_respawns
-        if self._pools:
-            batch.pool_policy = self._pools[0].policy
         batch.wall_seconds = time.perf_counter() - start
 
     def __repr__(self) -> str:

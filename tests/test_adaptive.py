@@ -1,18 +1,15 @@
-"""The adaptive runtime: ARC pool, bounded probing, learned planner state.
+"""The adaptive runtime: bounded probing and learned planner state.
 
-Three layers under test:
+Two layers under test:
 
-* the ARC buffer pool's four-list protocol — ghost promotion, target
-  adaptation in both directions, the scan-length suppression that keeps
-  a sequential flood from hijacking the target, and the capacity-0
-  paper-exact degeneration;
 * the latency-bounded shard probing — identical answers with the bound
   on and off across every structure x partitioner combination (range and
   NN), plus the update-traffic counters and ``Database.rebalance()``;
 * the ``Database`` wiring — method variants, one configuration per
   database with identical answers across configurations, and the
   planner-bias round trip through ``save()``/``open()`` (including
-  archives written while the database still carried an auto-tuner).
+  archives written while the database still carried an auto-tuner or
+  a buffer-pool policy choice).
 """
 
 from __future__ import annotations
@@ -26,118 +23,13 @@ from repro.core.query import ProbRangeQuery
 from repro.exec.executor import execute_query
 from repro.exec.shard import ShardedAccessMethod
 from repro.geometry.rect import Rect
-from repro.storage.bufferpool import BufferPool
+from repro.storage.bufferpool import pools_of
 from repro.uncertainty.montecarlo import AppearanceEstimator
 from tests.conftest import make_mixed_objects, make_uniform_ball_object
 
-FID = 0  # pools namespace frames by (file_id, page_id); one file suffices
 # The config key older archives carry for the removed auto-tuner, spelt
 # in pieces so a search for the retired name finds no live use of it.
 RETIRED_TUNER_FLAG = "_".join(("auto", "tune"))
-
-
-# ---------------------------------------------------------------------------
-# ARC buffer pool
-# ---------------------------------------------------------------------------
-class TestArcPool:
-    def _pool(self, capacity: int) -> BufferPool:
-        pool = BufferPool(capacity, policy="arc")
-        assert pool.register_file() == FID
-        return pool
-
-    def test_ghost_hit_promotes_to_frequency_and_grows_target(self):
-        pool = self._pool(4)
-        for page in (1, 2, 3, 4):
-            assert not pool.access(FID, page)
-        assert pool.access(FID, 1)  # T1 hit -> T2
-        pool.access(FID, 5)  # replace evicts T1's LRU (2) into B1
-        assert (FID, 2) not in pool
-        assert pool.ghost_pages()[0] == [(FID, 2)]
-        assert pool.target_recency == 0.0
-
-        assert not pool.access(FID, 2)  # B1 ghost hit: still a miss...
-        assert pool.ghost_hits == 1
-        assert pool.target_recency >= 1.0  # ...but the target grew
-        assert (FID, 2) in pool  # and the frame re-entered resident
-        assert pool.access(FID, 2)  # now a real hit (it sits in T2)
-
-    def test_frequency_ghost_hit_shrinks_target(self):
-        pool = self._pool(4)
-        pool._target = 3.0  # as if recency ghosts had grown it
-        pool._b2[(FID, 9)] = False  # a frequency-side ghost
-        for page in (1, 2, 3, 4):
-            pool.access(FID, page)
-        assert not pool.access(FID, 9)  # B2 ghost hit
-        assert pool.ghost_hits == 1
-        assert pool.target_recency < 3.0
-
-    def test_sequential_ghost_of_uncacheable_scan_suppresses_adaptation(self):
-        pool = self._pool(4)
-        pool.scan_length_ewma = 100.0  # calibrated: scans dwarf capacity
-        pool._b1[(FID, 9)] = True  # ghost left behind by such a scan
-        assert not pool.access(FID, 9)
-        assert pool.ghost_hits == 1
-        assert pool.target_recency == 0.0  # no target motion
-
-        # The same ghost hit from a *random* (non-sequential) eviction
-        # adapts normally — suppression keys on the ghost's origin.
-        pool2 = self._pool(4)
-        pool2.scan_length_ewma = 100.0
-        pool2._b1[(FID, 9)] = False
-        pool2.access(FID, 9)
-        assert pool2.target_recency >= 1.0
-
-    def test_scan_length_ewma_calibrates_from_runs(self):
-        pool = self._pool(8)
-        for page in range(10):
-            pool.access(FID, page, sequential=True)
-        pool.access(FID, 99)  # run ends: fold 10 into the EWMA
-        assert pool.scan_length_ewma == pytest.approx(10.0)
-        for page in range(20, 24):
-            pool.access(FID, page, sequential=True)
-        pool.access(FID, 98)
-        assert pool.scan_length_ewma == pytest.approx(0.7 * 10.0 + 0.3 * 4.0)
-
-    def test_capacity_zero_is_paper_exact(self):
-        pool = self._pool(0)
-        for _ in range(3):
-            assert not pool.access(FID, 7)
-        assert pool.hits == 0 and pool.misses == 3
-        assert len(pool) == 0
-        assert pool.ghost_pages() == ([], [])
-
-    def test_admit_invalidate_and_clear_cover_ghosts(self):
-        pool = self._pool(2)
-        pool.admit(FID, 1)
-        assert (FID, 1) in pool
-        pool._b1[(FID, 5)] = False
-        pool.invalidate(FID, 5)
-        assert pool.ghost_pages() == ([], [])
-        pool._target = 1.5
-        pool.scan_length_ewma = 6.0
-        pool.clear()
-        assert len(pool) == 0
-        assert pool.target_recency == 0.0
-        # Calibration is workload knowledge, not cache content.
-        assert pool.scan_length_ewma == pytest.approx(6.0)
-
-    def test_reset_counters_zeroes_ghost_hits(self):
-        pool = self._pool(2)
-        pool._b1[(FID, 3)] = False
-        pool.access(FID, 3)
-        assert pool.ghost_hits == 1
-        pool.reset_counters()
-        assert pool.ghost_hits == 0
-
-    def test_partition_propagates_policy(self):
-        pools = BufferPool.partition(12, 3, policy="arc")
-        assert all(p.policy == "arc" for p in pools)
-        pools_2q = BufferPool.partition(12, 3, policy="2q", probation_capacity=2)
-        assert all(p.policy == "2q" for p in pools_2q)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown pool policy"):
-            BufferPool(4, policy="mru")
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +267,9 @@ class TestDatabaseAdaptive:
         assert db.explain(_specs()[0]).filter_kernel == db.config.kernel_enabled
 
     def test_explain_pool_fields(self):
-        config = ExecConfig(mc_samples=1000, pool_capacity=16, pool_policy="arc")
+        config = ExecConfig(mc_samples=1000, pool_capacity=16)
         db = Database.create(make_mixed_objects(12, seed=5), config)
         explanation = db.explain(_specs()[0])
-        assert explanation.pool_policy == "arc"
         assert explanation.pool_capacity == 16
 
     def test_explain_reports_bound_skips(self):
@@ -418,14 +309,16 @@ class TestDatabaseAdaptive:
 
     @pytest.mark.parametrize("layout", ("npz", "wal"))
     def test_archive_with_retired_tuner_keys_opens(self, tmp_path, layout):
-        """Archives written with the auto-tuner or the executor knob open.
+        """Archives written with the auto-tuner, executor or pool knobs open.
 
         The keys are injected into a fresh save: the retired config flag
-        set to true and the retired ``"executor"`` backend name in the
-        archived config, and a ``"tuner"`` block in the meta, exactly
-        where older builds wrote them.  Opening ignores all three; the
-        archived ``parallelism=2`` alone puts the reopened database on
-        the process backend.
+        set to true, the retired ``"executor"`` backend name and the
+        retired ARC pool policy and probation size in the archived
+        config, and a ``"tuner"`` block in the meta, exactly where older
+        builds wrote them.  Opening ignores all of them: the archived
+        ``parallelism=2`` alone puts the reopened database on the process
+        backend, and its ``pool_capacity=16`` on 2Q pools with the
+        built-in probation size.
         """
         import json
 
@@ -435,6 +328,7 @@ class TestDatabaseAdaptive:
             filter_kernel="on",
             wal=layout == "wal",
             parallelism=2,
+            pool_capacity=16,
         )
         db = Database.create(
             make_mixed_objects(20, seed=5),
@@ -456,6 +350,8 @@ class TestDatabaseAdaptive:
         def inject(meta: dict) -> dict:
             meta["config"][RETIRED_TUNER_FLAG] = True
             meta["config"]["executor"] = "thread"
+            meta["config"]["pool_policy"] = "arc"
+            meta["config"]["pool_probation"] = 3
             meta["tuner"] = tuner_block
             return meta
 
@@ -482,6 +378,12 @@ class TestDatabaseAdaptive:
         rerun = reopened.run(specs)
         assert {batch.executor for batch in rerun.batches.values()} == {"process"}
         assert rerun.answers() == db.run(specs).answers()
+        assert reopened.config.pool_capacity == 16
+        for name in reopened.method_names:
+            pools = pools_of(reopened.access_method(name))
+            assert sum(pool.capacity for pool in pools) == 16
+            for pool in pools:
+                assert pool.probation_capacity == max(1, pool.capacity // 8)
         reopened.close()
         db.close()
 
@@ -513,18 +415,24 @@ class TestDatabaseAdaptive:
 # ---------------------------------------------------------------------------
 class TestEnvKnobs:
     def test_pool_policy_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_POLICY", "ARC")
-        assert ExecConfig.from_env().pool_policy == "arc"
-        monkeypatch.setenv("REPRO_POOL_POLICY", "bogus")
-        with pytest.raises(ValueError, match="unknown pool_policy"):
-            ExecConfig.from_env()
+        # 2Q is the only replacement policy: the policy knob is gone from
+        # the config, and its environment key is reported as unknown.
+        with pytest.raises(TypeError):
+            ExecConfig(pool_policy="arc")
+        monkeypatch.setenv("REPRO_POOL_POLICY", "arc")
+        with pytest.warns(UserWarning, match="ignored: REPRO_POOL_POLICY"):
+            config = ExecConfig.from_env()
+        assert not hasattr(config, "pool_policy")
 
     def test_pool_probation_env(self, monkeypatch):
+        # The 2Q probation length is fixed: the knob is gone from the
+        # config, and its environment key is reported as unknown.
+        with pytest.raises(TypeError):
+            ExecConfig(pool_probation=3)
         monkeypatch.setenv("REPRO_POOL_PROBATION", "3")
-        assert ExecConfig.from_env().pool_probation == 3
-        monkeypatch.setenv("REPRO_POOL_PROBATION", "-1")
-        with pytest.raises(ValueError, match="non-negative"):
-            ExecConfig.from_env()
+        with pytest.warns(UserWarning, match="ignored: REPRO_POOL_PROBATION"):
+            config = ExecConfig.from_env()
+        assert not hasattr(config, "pool_probation")
 
     def test_probe_bound_env(self, monkeypatch):
         assert ExecConfig.from_env().probe_bound  # default on

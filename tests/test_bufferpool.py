@@ -1,9 +1,11 @@
-"""Tests for the LRU buffer pool and its pager integration.
+"""Tests for the 2Q buffer pool and its pager integration.
 
-The load-bearing contract: with no pool (or a capacity-0 pool) every
-counter reproduces the paper's uncached accounting exactly; with a warm
-pool, physical reads drop while all *logical* numbers (node accesses,
-data-page reads, query answers) are unchanged.
+Point reads go through the main LRU; sequential (scan) reads that find
+main full go through the probation FIFO instead.  The load-bearing
+contract: with no pool (or a capacity-0 pool) every counter reproduces
+the paper's uncached accounting exactly; with a warm pool, physical
+reads drop while all *logical* numbers (node accesses, data-page reads,
+query answers) are unchanged.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import pytest
 from repro.core.query import ProbRangeQuery
 from repro.core.utree import UTree
 from repro.geometry.rect import Rect
-from repro.storage.bufferpool import POOL_POLICIES, BufferPool
+from repro.storage.bufferpool import BufferPool
 from repro.storage.pager import DataFile, IOCounter, PageStore
 from repro.uncertainty.objects import UncertainObject
 from repro.uncertainty.pdfs import UniformDensity
@@ -22,6 +24,8 @@ from repro.uncertainty.regions import BallRegion
 
 
 class TestBufferPoolLRU:
+    """The main LRU segment, driven by point (non-sequential) reads."""
+
     def test_miss_then_hit(self):
         pool = BufferPool(4)
         fid = pool.register_file()
@@ -117,7 +121,7 @@ class TestScanResistance:
         assert len(pool.probation_pages()) <= pool.probation_capacity
 
     def test_probation_queue_is_fifo_bounded(self):
-        pool = BufferPool(16, probation_capacity=2)
+        pool = BufferPool(16)
         fid = pool.register_file()
         for page in range(100, 116):
             pool.access(fid, page)  # fill main: no spare capacity left
@@ -129,7 +133,7 @@ class TestScanResistance:
         assert pool.access(fid, 1, sequential=True) is False
 
     def test_rereferenced_scan_page_promotes_to_main(self):
-        pool = BufferPool(8, probation_capacity=4)
+        pool = BufferPool(8)
         fid = pool.register_file()
         for page in range(100, 108):
             pool.access(fid, page)  # fill main
@@ -149,7 +153,7 @@ class TestScanResistance:
         # An under-committed pool lends idle frames to scans (plain-LRU
         # behavior), so repeated scans over a small file still hit even
         # though a scan may never *evict* a resident frame.
-        pool = BufferPool(16, probation_capacity=4)
+        pool = BufferPool(16)
         fid = pool.register_file()
         for page in range(3):
             pool.access(fid, page, sequential=True)
@@ -364,62 +368,3 @@ class TestPartition:
             _warnings.simplefilter("error")
             BufferPool.partition(0, 5)
             BufferPool.partition(12, 4)
-
-
-# ---------------------------------------------------------------------------
-# ARC >= 2Q on the mixed scan+point page trace the adaptive policy exists
-# for: a hot point-query working set that re-references pages in quick
-# pairs, interleaved with repeated mid-size scans and a cold one-touch
-# stream that floods the main LRU.  2Q's bounded probation FIFO forgets
-# the scan between rounds and the cold stream churns its main list; ARC's
-# ghost lists remember both and adapt the recency/frequency split.  The
-# trace is deterministic, so the assertion is always armed.
-# ---------------------------------------------------------------------------
-
-# The pool-policy trace regime (empirically the 2Q worst case): capacity
-# 12 frames, an 8-page scan repeated every round, hot point pages
-# touched in pairs, and a short one-touch cold stream.  The cold stream
-# must stay shorter than ARC's effective B1 depth (capacity minus the
-# scan footprint) or it flushes the scan ghosts before the next round
-# can re-reference them — 4 pages keeps the ghost lists live while
-# still churning 2Q's probation FIFO every round.
-POOL_CAPACITY = 12
-SCAN_PAGES = list(range(100, 108))
-HOT_PAGES = list(range(200, 204))
-COLD_PAGES_PER_ROUND = 4
-TRACE_ROUNDS = 30
-
-
-def _policy_trace(policy: str) -> dict:
-    """One policy's hit accounting over the shared deterministic trace."""
-    pool = BufferPool(POOL_CAPACITY, policy=policy)
-    fid = pool.register_file()
-    cold = 1000
-    for _ in range(TRACE_ROUNDS):
-        for page in SCAN_PAGES:  # the repeated scan
-            pool.access(fid, page, sequential=True)
-        for page in HOT_PAGES:  # hot points, re-referenced immediately
-            pool.access(fid, page)
-            pool.access(fid, page)
-        for _ in range(COLD_PAGES_PER_ROUND):  # one-touch cold flood
-            pool.access(fid, cold)
-            cold += 1
-    return {
-        "policy": policy,
-        "hits": pool.hits,
-        "misses": pool.misses,
-        "ghost_hits": pool.ghost_hits,
-        "hit_rate": pool.hit_rate,
-        "target_recency": pool.target_recency,
-    }
-
-
-def test_arc_beats_2q_on_mixed_scan_point_trace():
-    results = {policy: _policy_trace(policy) for policy in POOL_POLICIES}
-    arc, two_q = results["arc"], results["2q"]
-    # Deterministic trace: always armed.
-    assert arc["hit_rate"] >= two_q["hit_rate"], (
-        f"ARC hit rate {arc['hit_rate']:.3f} fell below "
-        f"2Q's {two_q['hit_rate']:.3f} on the mixed trace"
-    )
-    assert arc["ghost_hits"] > 0, "the regime never exercised the ghost lists"

@@ -37,6 +37,8 @@ from repro.serve.protocol import (
     recv_frame,
     send_frame,
     spec_doc,
+    stats_doc,
+    stats_from_doc,
 )
 from tests.conftest import make_mixed_objects, make_uniform_ball_object
 
@@ -388,6 +390,17 @@ class TestProtocolFaults:
             with pytest.raises(ServeError) as excinfo:
                 client.run(_range_specs()[:1], method="btree")
             assert excinfo.value.code == "BAD_REQUEST"
+
+    def test_stats_with_retired_ghost_hit_counter_decode(self):
+        # Servers from before 2Q became the only buffer-pool policy still
+        # send the ARC ghost-hit counter in every stats document; the
+        # decoder drops it, so the wire protocol stays at version 1.
+        stats = _make_db("utree").query(_range_specs()[0]).stats
+        doc = stats_doc(stats)
+        assert "pool_ghost_hits" not in doc
+        doc["pool_ghost_hits"] = 0
+        assert stats_from_doc(doc) == stats
+        assert PROTOCOL_VERSION == 1
 
 
 # ----------------------------------------------------------------------
